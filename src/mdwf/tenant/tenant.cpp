@@ -11,10 +11,10 @@
 #include "mdwf/common/assert.hpp"
 #include "mdwf/fault/plan.hpp"
 #include "mdwf/fs/interference.hpp"
-#include "mdwf/sim/primitives.hpp"
 #include "mdwf/sweep/sweep.hpp"
 #include "mdwf/tenant/fallback.hpp"
 #include "mdwf/workflow/config.hpp"
+#include "mdwf/workflow/rank_loop.hpp"
 
 namespace mdwf::tenant {
 
@@ -32,13 +32,6 @@ constexpr const char* kTenantCounterNames[] = {
     "slo_fallback_frames", "quota_kvs_sheds",   "quota_mds_sheds",
     "quota_ost_sheds",     "quota_admits",      "quota_releases",
     "noise_ops",           "noise_sheds"};
-
-sim::Task<void> run_set_and_mark(sim::Simulation& sim,
-                                 std::vector<sim::Task<void>> tasks,
-                                 TimePoint& end) {
-  co_await sim::all(sim, std::move(tasks));
-  end = sim.now();
-}
 
 bool has_faults(const TenantSpec& spec) {
   return spec.kind == TenantKind::kWorkflow && !spec.faults.empty() &&
@@ -118,11 +111,8 @@ TenantRepOutcome run_tenant_repetition(const MultiTenantConfig& config,
   }
   workflow::register_ensemble_counters(out.shared);
 
-  TestbedParams tp = config.testbed;
-  tp.compute_nodes = nodes_total;
-  // Same per-repetition corruption-seed scheme as the classic runner.
-  tp.integrity.seed = config.base_seed + rep * 7919;
-  tp.trace = trace;
+  TestbedParams tp = workflow::repetition_testbed(
+      config.testbed, nodes_total, config.base_seed, rep, trace);
 
   // Merge the per-tenant fault plans (authored against tenant-local node
   // indices) onto the shared testbed's plan, shifted onto each slice.
@@ -282,7 +272,8 @@ TenantRepOutcome run_tenant_repetition(const MultiTenantConfig& config,
 
     workflow::build_rank_set(tb, rs, rep_rng, crash,
                              &out.tenants[i].cons_fetch_us, assets[i]);
-    sim.spawn(run_set_and_mark(sim, std::move(assets[i].tasks), ends[i]));
+    sim.spawn(workflow::run_all_and_mark(sim, std::move(assets[i].tasks),
+                                         ends[i]));
   }
 
   if (config.lustre_interference) {

@@ -1,5 +1,6 @@
 #include "mdwf/workflow/config.hpp"
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -36,6 +37,21 @@ constexpr std::string_view kKnownKeys[] = {
 constexpr std::string_view kDagOnlyKeys[] = {
     "dag_tasks", "dag_width", "dag_seed",  "dag_runtime",
     "dag_bytes", "dag_chunk", "dag_scale"};
+
+// A count key bound to a uint32 field: anything wider would wrap silently.
+std::uint32_t get_u32(const KeyValueConfig& cfg, std::string_view key,
+                      std::uint32_t fallback) {
+  const std::uint64_t v = cfg.get_uint(key, fallback);
+  if (v > std::numeric_limits<std::uint32_t>::max()) {
+    throw ConfigError(std::string(key) + " must be at most 4294967295, got " +
+                      std::to_string(v));
+  }
+  return static_cast<std::uint32_t>(v);
+}
+
+void require_positive(std::string_view key, std::uint64_t v) {
+  if (v == 0) throw ConfigError(std::string(key) + " must be >= 1, got 0");
+}
 
 std::string solution_key(Solution s) {
   switch (s) {
@@ -87,14 +103,15 @@ EnsembleConfig parse_ensemble_config(const KeyValueConfig& cfg,
                                                   : model->stride;
   config.workload.stride = cfg.get_uint("stride", default_stride);
 
-  config.pairs = static_cast<std::uint32_t>(cfg.get_uint("pairs",
-                                                         defaults.pairs));
+  config.pairs = get_u32(cfg, "pairs", defaults.pairs);
+  require_positive("pairs", config.pairs);
   // XFS cannot move data between nodes, so it defaults to a single one.
   const std::uint32_t default_nodes =
       config.solution == Solution::kXfs ? 1 : defaults.nodes;
-  config.nodes =
-      static_cast<std::uint32_t>(cfg.get_uint("nodes", default_nodes));
+  config.nodes = get_u32(cfg, "nodes", default_nodes);
+  require_positive("nodes", config.nodes);
   config.workload.frames = cfg.get_uint("frames", defaults.workload.frames);
+  require_positive("frames", config.workload.frames);
   config.workload.step_jitter_sigma =
       cfg.get_double("jitter", defaults.workload.step_jitter_sigma);
   // Consumer analytics time as a multiple of the frame period; >1 models
@@ -105,13 +122,12 @@ EnsembleConfig parse_ensemble_config(const KeyValueConfig& cfg,
     throw ConfigError("analytics must be > 0, got " +
                       std::to_string(config.workload.analytics_scale));
   }
-  config.repetitions =
-      static_cast<std::uint32_t>(cfg.get_uint("reps", defaults.repetitions));
+  config.repetitions = get_u32(cfg, "reps", defaults.repetitions);
+  require_positive("reps", config.repetitions);
   config.base_seed = cfg.get_uint("seed", defaults.base_seed);
   // Worker threads for the parallel replica runner (mdwf::sweep); 0 = all
   // hardware threads.  Never affects results, only wall-clock time.
-  config.threads =
-      static_cast<std::uint32_t>(cfg.get_uint("threads", defaults.threads));
+  config.threads = get_u32(cfg, "threads", defaults.threads);
   config.lustre_interference =
       cfg.get_bool("interference", defaults.lustre_interference);
   config.testbed.dyad.push_mode =
@@ -121,6 +137,22 @@ EnsembleConfig parse_ensemble_config(const KeyValueConfig& cfg,
   if (cfg.get_bool("colocate",
                    defaults.placement == Placement::kColocated)) {
     config.placement = Placement::kColocated;
+  }
+  // Placement rules (DAG runs place tasks round-robin and ignore colocate).
+  const std::string workload_ref = cfg.get_string("workload", "");
+  const bool dag = !workload_ref.empty();
+  const bool colocated =
+      config.nodes == 1 ||
+      (config.placement == Placement::kColocated && !dag);
+  if (config.solution == Solution::kXfs && !colocated) {
+    throw ConfigError("nodes=" + std::to_string(config.nodes) +
+                      ": XFS cannot move data between nodes; use nodes=1" +
+                      (dag ? "" : " or colocate=1"));
+  }
+  if (!colocated && !dag && config.nodes % 2 != 0) {
+    throw ConfigError("nodes=" + std::to_string(config.nodes) +
+                      ": a split placement needs an even node count; use "
+                      "colocate=1 to place each pair on one node");
   }
 
   const std::string faults = cfg.get_string("faults", "none");
@@ -202,8 +234,7 @@ EnsembleConfig parse_ensemble_config(const KeyValueConfig& cfg,
   // imported WfCommons/WorkflowHub instance, workload=synth:<topology> a
   // seeded synthetic graph shaped by the dag_* keys.  All-or-nothing: any
   // loader/validation problem throws before the config binds.
-  const std::string workload_ref = cfg.get_string("workload", "");
-  if (!workload_ref.empty()) {
+  if (dag) {
     if (cfg.has("frames")) {
       throw ConfigError(
           "frames is derived from the DAG workload (edge payloads / "

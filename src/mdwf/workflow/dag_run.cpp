@@ -8,6 +8,7 @@
 
 #include "mdwf/common/assert.hpp"
 #include "mdwf/wload/wload.hpp"
+#include "mdwf/workflow/rank_loop.hpp"
 
 namespace mdwf::workflow {
 
@@ -61,10 +62,6 @@ DagPlan plan_dag(const wload::Dag& dag, Bytes chunk, std::uint32_t nodes) {
 
 namespace {
 
-// Same remote-fault retry policy as the classic rank loops.
-constexpr Duration kFaultRetryBackoff = Duration::milliseconds(50);
-constexpr std::uint64_t kMaxFaultRetries = 10'000;
-
 // One side of one edge, from the owning task's point of view.
 struct DagRankIo {
   Connector* conn = nullptr;
@@ -73,20 +70,13 @@ struct DagRankIo {
 };
 
 struct DagTaskContext {
-  sim::Simulation* sim = nullptr;
+  RankEnv env;
   const wload::TaskSpec* spec = nullptr;
   const DagPlan* plan = nullptr;
   std::uint32_t task = 0;
-  perf::Recorder* recorder = nullptr;
   std::vector<DagRankIo> in;   // aligned with plan->in_edges[task]
   std::vector<DagRankIo> out;  // aligned with plan->out_edges[task]
-  obs::TraceSink* trace = nullptr;
-  obs::TrackId track{};
-  obs::InstantId frame_marker{};
   Rng rng{1};
-  std::uint32_t node = 0;
-  fault::CrashMonitor* crash = nullptr;
-  fault::FaultInjector* injector = nullptr;
   RankStats* prod_stats = nullptr;  // publish units
   RankStats* cons_stats = nullptr;  // fetch units
   Samples* fetch_samples = nullptr;
@@ -97,43 +87,14 @@ struct DagTaskContext {
   DagProbe* probe = nullptr;
 };
 
-std::uint64_t rank_epoch(const DagTaskContext& ctx) {
-  return ctx.crash != nullptr ? ctx.crash->epoch(ctx.node) : 0;
-}
-
-double cpu_dilation(const DagTaskContext& ctx) {
-  return ctx.injector != nullptr ? ctx.injector->cpu_dilation(ctx.node) : 1.0;
-}
-
-// See ensemble.cpp: without a membership plane, a peer on a permanently
-// lost node can never move frames again — park instead of polling forever.
-bool park_on_lost_peer(const DagTaskContext& ctx, std::uint32_t peer) {
-  return ctx.injector != nullptr && ctx.crash != nullptr &&
-         ctx.crash->down(peer) && ctx.injector->node_lost(peer);
-}
-
-void count_frame(RankStats* stats, std::uint64_t f, std::uint64_t& high) {
-  if (f < high) {
-    if (stats != nullptr) ++stats->reexecuted;
-  } else {
-    high = f + 1;
-    if (stats != nullptr) ++stats->frames_done;
-  }
-}
-
-void trace_frame(const DagTaskContext& ctx, std::uint64_t unit) {
-  if (ctx.trace == nullptr) return;
-  ctx.trace->instant(ctx.frame_marker, ctx.sim->now(),
-                     static_cast<std::int64_t>(unit));
-}
-
 // One workflow task: fetch every parent frame (in-edge order), run the
 // compute budget, publish every output frame to every out-edge, then drain
 // the manual-sync barriers.  Crash-aware but checkpoint-free: an epoch
 // change restarts the whole task; idempotent connectors make that safe.
 sim::Task<void> run_dag_task(DagTaskContext ctx) {
-  auto& sim = *ctx.sim;
-  auto& rec = *ctx.recorder;
+  const RankEnv& env = ctx.env;
+  auto& sim = *env.sim;
+  auto& rec = *env.recorder;
   const auto& in_ids = ctx.plan->in_edges[ctx.task];
   const auto& out_ids = ctx.plan->out_edges[ctx.task];
 
@@ -173,7 +134,7 @@ sim::Task<void> run_dag_task(DagTaskContext ctx) {
   std::uint64_t cons_high = 0;
   std::uint64_t prod_high = 0;
   for (bool completed = false; !completed;) {
-    const std::uint64_t run_epoch = rank_epoch(ctx);
+    const std::uint64_t run_epoch = rank_epoch(env);
     bool crashed = false;
 
     // ---- Fetch phase: a task is runnable per-frame — analytics overlap
@@ -184,57 +145,29 @@ sim::Task<void> run_dag_task(DagTaskContext ctx) {
       for (std::uint64_t f = 0; f < e.frames && !crashed; ++f) {
         const std::uint64_t unit = in_base[ei] + f;
         const TimePoint fetch_start = sim.now();
-        for (std::uint64_t attempts = 0;; ++attempts) {
-          std::exception_ptr failure;
-          try {
-            perf::ScopedRegion consume(rec, "consume");
-            co_await io.conn->get(dag_frame_path(in_ids[ei], f),
-                                  e.frame_bytes, f);
-          } catch (const net::NetError&) {
-            failure = std::current_exception();
-          } catch (const storage::IoError&) {
-            failure = std::current_exception();
-          } catch (const fs::FsError&) {
-            failure = std::current_exception();
-          }
-          if (failure == nullptr) {
-            // Availability-relative fetch latency, the same metric as the
-            // classic consumer (see RankContext::publish_times); skipped
-            // when the producer's stamp is missing.
-            if (ctx.fetch_samples != nullptr) {
-              const TimePoint pub = (*io.pub)[f];
-              if (pub != TimePoint::origin()) {
-                const TimePoint avail = std::max(fetch_start, pub);
-                ctx.fetch_samples->add((sim.now() - avail).to_micros());
-              }
-            }
-            break;
-          }
-          if (ctx.crash == nullptr || attempts >= kMaxFaultRetries) {
-            std::rethrow_exception(failure);
-          }
-          if (rank_epoch(ctx) != run_epoch) break;
-          if (ctx.cons_stats != nullptr) ++ctx.cons_stats->fault_retries;
-          perf::ScopedRegion wait(rec, "fault_retry",
-                                  perf::Category::kIdle);
-          if (park_on_lost_peer(ctx, io.peer_node)) {
-            co_await ctx.crash->wait_up(io.peer_node);
-          } else {
-            co_await sim.delay(kFaultRetryBackoff);
+        const std::string path = dag_frame_path(in_ids[ei], f);
+        const FrameOp got = co_await retry_frame_op(
+            env, run_epoch, io.peer_node, ctx.cons_stats, "consume",
+            [&] { return io.conn->get(path, e.frame_bytes, f); });
+        if (got == FrameOp::kDone && ctx.fetch_samples != nullptr) {
+          // Same availability-relative metric as the classic consumer.
+          if (const auto latency_us =
+                  fetch_latency_us(sim.now(), fetch_start, *io.pub, f)) {
+            ctx.fetch_samples->add(*latency_us);
           }
         }
-        if (ctx.crash != nullptr && rank_epoch(ctx) != run_epoch) {
+        if (rank_epoch(env) != run_epoch) {
           crashed = true;
           break;
         }
-        trace_frame(ctx, unit);
+        trace_frame(env, unit);
         if (ctx.probe != nullptr) {
           ctx.probe->on_fetch(ctx.task, in_ids[ei], f, sim.now());
         }
         if (!analytics_slice.is_zero()) {
           perf::ScopedRegion ana(rec, "analytics",
                                  perf::Category::kCompute);
-          co_await sim.delay(analytics_slice * cpu_dilation(ctx));
+          co_await sim.delay(analytics_slice * cpu_dilation(env));
         }
         io.conn->acknowledge(f);
         count_frame(ctx.cons_stats, unit, cons_high);
@@ -247,7 +180,7 @@ sim::Task<void> run_dag_task(DagTaskContext ctx) {
       // Isolated task: pure compute, no movement.
       perf::ScopedRegion compute(rec, "md_compute",
                                  perf::Category::kCompute);
-      co_await sim.delay(runtime * cpu_dilation(ctx));
+      co_await sim.delay(runtime * cpu_dilation(env));
     }
     for (std::uint64_t f = 0; f < out_frames && !crashed; ++f) {
       {
@@ -256,45 +189,22 @@ sim::Task<void> run_dag_task(DagTaskContext ctx) {
         const double jitter =
             std::max(-0.5, ctx.rng.normal(0.0, ctx.jitter_sigma));
         co_await sim.delay(compute_slice *
-                           ((1.0 + jitter) * cpu_dilation(ctx)));
+                           ((1.0 + jitter) * cpu_dilation(env)));
       }
       for (std::size_t oi = 0; oi < out_ids.size() && !crashed; ++oi) {
         const DagEdgePlan& e = ctx.plan->edges[out_ids[oi]];
         const DagRankIo& io = ctx.out[oi];
         const std::uint64_t unit = f * out_ids.size() + oi;
-        for (std::uint64_t attempts = 0;; ++attempts) {
-          std::exception_ptr failure;
-          try {
-            perf::ScopedRegion produce(rec, "produce");
-            co_await io.conn->put(dag_frame_path(out_ids[oi], f),
-                                  e.frame_bytes, f);
-            (*io.pub)[f] = sim.now();
-          } catch (const net::NetError&) {
-            failure = std::current_exception();
-          } catch (const storage::IoError&) {
-            failure = std::current_exception();
-          } catch (const fs::FsError&) {
-            failure = std::current_exception();
-          }
-          if (failure == nullptr) break;
-          if (ctx.crash == nullptr || attempts >= kMaxFaultRetries) {
-            std::rethrow_exception(failure);
-          }
-          if (rank_epoch(ctx) != run_epoch) break;
-          if (ctx.prod_stats != nullptr) ++ctx.prod_stats->fault_retries;
-          perf::ScopedRegion wait(rec, "fault_retry",
-                                  perf::Category::kIdle);
-          if (park_on_lost_peer(ctx, io.peer_node)) {
-            co_await ctx.crash->wait_up(io.peer_node);
-          } else {
-            co_await sim.delay(kFaultRetryBackoff);
-          }
-        }
-        if (ctx.crash != nullptr && rank_epoch(ctx) != run_epoch) {
+        const std::string path = dag_frame_path(out_ids[oi], f);
+        const FrameOp put = co_await retry_frame_op(
+            env, run_epoch, io.peer_node, ctx.prod_stats, "produce",
+            [&] { return io.conn->put(path, e.frame_bytes, f); });
+        if (put == FrameOp::kDone) (*io.pub)[f] = sim.now();
+        if (rank_epoch(env) != run_epoch) {
           crashed = true;
           break;
         }
-        trace_frame(ctx, in_total + unit);
+        trace_frame(env, in_total + unit);
         if (ctx.probe != nullptr) {
           ctx.probe->on_publish(ctx.task, out_ids[oi], f, sim.now());
         }
@@ -310,47 +220,23 @@ sim::Task<void> run_dag_task(DagTaskContext ctx) {
     for (std::size_t oi = 0; oi < out_ids.size() && !crashed; ++oi) {
       const DagEdgePlan& e = ctx.plan->edges[out_ids[oi]];
       co_await ctx.out[oi].conn->producer_sync(e.frames - 1);
-      if (ctx.crash != nullptr && rank_epoch(ctx) != run_epoch) {
-        crashed = true;
-      }
+      crashed = rank_epoch(env) != run_epoch;
     }
 
     // A crash during a pure-compute stretch raises no exception; the
     // epoch check here catches it before the task declares itself done.
-    if (!crashed && ctx.crash != nullptr &&
-        rank_epoch(ctx) != run_epoch) {
-      crashed = true;
-    }
-    if (!crashed) {
+    if (!crashed && rank_epoch(env) == run_epoch) {
       completed = true;
       continue;
     }
-    {
-      perf::ScopedRegion down(rec, "crash_restart", perf::Category::kIdle);
-      co_await ctx.crash->wait_up(ctx.node);
-    }
-    RankStats* restart_stats =
-        !in_ids.empty() ? ctx.cons_stats : ctx.prod_stats;
-    if (restart_stats != nullptr) ++restart_stats->crash_recoveries;
+    co_await await_restart(env,
+                           !in_ids.empty() ? ctx.cons_stats : ctx.prod_stats);
   }
   if (ctx.probe != nullptr) ctx.probe->on_complete(ctx.task, sim.now());
 }
 
-sim::Task<void> run_all_and_mark(sim::Simulation& sim,
-                                 std::vector<sim::Task<void>> tasks,
-                                 TimePoint& end) {
-  co_await sim::all(sim, std::move(tasks));
-  end = sim.now();
-}
-
-double per_frame_us(const perf::CallTree& tree, std::string_view subtree,
-                    perf::Category cat, std::uint64_t frames) {
-  return tree.category_time(subtree, cat).to_micros() /
-         static_cast<double>(frames);
-}
-
 // Everything the DAG rank coroutines reference; declared before the
-// Testbed (the run_repetition unwind-order contract).
+// repetition's testbed (run_rank_repetition).
 struct DagAssets {
   std::vector<std::unique_ptr<perf::Recorder>> recs;  // per task
   std::vector<std::unique_ptr<ExplicitSync>> syncs;
@@ -374,29 +260,13 @@ RepOutcome run_dag_repetition(const EnsembleConfig& config, std::uint32_t rep,
   MDWF_ASSERT_MSG(!config.testbed.membership.enabled,
                   "membership plane does not support DAG workloads");
 
-  RepOutcome out;
-  register_ensemble_counters(out.counters);
-  {
-    TestbedParams tp = config.testbed;
-    tp.compute_nodes = config.nodes;
-    tp.integrity.seed = config.base_seed + rep * 7919;
-    tp.trace = trace;
+  const DagPlan plan = plan_dag(dag, config.dag_chunk, config.nodes);
+  const std::size_t ntasks = dag.tasks.size();
+  const Rng rep_rng(config.base_seed + rep);
+  DagAssets assets;
 
-    const DagPlan plan = plan_dag(dag, config.dag_chunk, config.nodes);
-    const std::size_t ntasks = dag.tasks.size();
-
-    DagAssets assets;
-    Testbed tb(tp);
+  auto wire = [&](Testbed& tb, fault::CrashMonitor* crash, RepOutcome& out) {
     auto& sim = tb.simulation();
-    obs::TraceSink* sink = tb.params().trace;
-
-    fault::CrashMonitor* crash = nullptr;
-    if (tb.fault_injector() != nullptr &&
-        tb.fault_injector()->has_crash_windows()) {
-      crash = &tb.fault_injector()->monitor();
-    }
-
-    const Rng rep_rng(config.base_seed + rep);
     assets.stats.assign(2 * ntasks, RankStats{});
     for (std::size_t t = 0; t < ntasks; ++t) {
       assets.recs.push_back(std::make_unique<perf::Recorder>(
@@ -428,28 +298,23 @@ RepOutcome run_dag_repetition(const EnsembleConfig& config, std::uint32_t rep,
                                 .recorder = assets.recs[ep.child].get()};
       assets.prod_conn.push_back(make_connector(pspec));
       assets.cons_conn.push_back(make_connector(cspec));
-      if (config.solution == Solution::kDyad &&
-          tb.params().dyad.push_mode) {
-        tb.dyad_domain().subscribe(
-            dag_edge_prefix(static_cast<std::uint32_t>(e)),
-            net::NodeId{cnode});
-      }
-      if (config.solution == Solution::kStream) {
-        tb.stream_domain().subscribe(
-            dag_edge_prefix(static_cast<std::uint32_t>(e)),
-            net::NodeId{cnode});
-      }
+      subscribe_consumer(tb, config.solution,
+                         dag_edge_prefix(static_cast<std::uint32_t>(e)),
+                         cnode);
       assets.pub_times.push_back(std::make_unique<std::vector<TimePoint>>(
           ep.frames, TimePoint::origin()));
     }
 
     for (std::size_t t = 0; t < ntasks; ++t) {
       DagTaskContext ctx;
-      ctx.sim = &sim;
+      ctx.env = {.sim = &sim,
+                 .recorder = assets.recs[t].get(),
+                 .node = plan.node_of[t],
+                 .crash = crash,
+                 .injector = tb.fault_injector()};
       ctx.spec = &dag.tasks[t];
       ctx.plan = &plan;
       ctx.task = static_cast<std::uint32_t>(t);
-      ctx.recorder = assets.recs[t].get();
       for (const std::uint32_t e : plan.in_edges[t]) {
         ctx.in.push_back(DagRankIo{assets.cons_conn[e].get(),
                                    assets.pub_times[e].get(),
@@ -461,9 +326,6 @@ RepOutcome run_dag_repetition(const EnsembleConfig& config, std::uint32_t rep,
                                     plan.node_of[plan.edges[e].child]});
       }
       ctx.rng = rep_rng.fork("dag-task" + std::to_string(t));
-      ctx.node = plan.node_of[t];
-      ctx.crash = crash;
-      ctx.injector = tb.fault_injector();
       ctx.prod_stats = &assets.stats[2 * t];
       ctx.cons_stats = &assets.stats[2 * t + 1];
       ctx.fetch_samples = &out.cons_fetch_us;
@@ -472,25 +334,22 @@ RepOutcome run_dag_repetition(const EnsembleConfig& config, std::uint32_t rep,
       ctx.jitter_sigma = config.workload.step_jitter_sigma;
       ctx.stagger = config.workload.start_stagger;
       ctx.probe = probe;
-      if (sink != nullptr) {
-        ctx.trace = sink;
-        ctx.track = sink->track("node" + std::to_string(ctx.node),
-                                "task" + std::to_string(t));
-        ctx.frame_marker = sink->instant_series(ctx.track, "f=");
-        assets.recs[t]->set_trace(sink, ctx.track);
+      if (obs::TraceSink* sink = tb.params().trace) {
+        attach_trace_lane(ctx.env, *sink,
+                          "node" + std::to_string(ctx.env.node),
+                          "task" + std::to_string(t));
       }
       assets.tasks.push_back(run_dag_task(std::move(ctx)));
     }
+    return std::move(assets.tasks);
+  };
 
-    TimePoint workload_end;
-    sim.spawn(run_all_and_mark(sim, std::move(assets.tasks), workload_end));
-    const std::uint64_t events_fired = sim.run_to_quiescence();
-    if (tb.fault_injector() != nullptr) tb.fault_injector()->finalize_trace();
-
-    // ---- Collect: same counter names and thicket shape as the classic
-    // collector, with tasks in place of pairs.
+  // Same counter names and thicket shape as the classic collector, with
+  // tasks in place of pairs.
+  auto collect = [&](Testbed& tb, RepOutcome& out) {
     double pm = 0, pi = 0, cm = 0, ci = 0;
     std::uint32_t nprod = 0, ncons = 0;
+    std::uint64_t consumed = 0;
     for (std::size_t t = 0; t < ntasks; ++t) {
       const auto& tree = assets.recs[t]->tree();
       std::uint64_t in_units = 0;
@@ -525,19 +384,9 @@ RepOutcome run_dag_repetition(const EnsembleConfig& config, std::uint32_t rep,
           {"role", "task"},
       };
       out.thicket.add(meta, assets.recs[t]->snapshot());
-
-      out.counters.add("frames_produced", assets.stats[2 * t].frames_done);
-      out.counters.add("frames_consumed",
-                       assets.stats[2 * t + 1].frames_done);
-      out.counters.add("frames_reexecuted",
-                       assets.stats[2 * t].reexecuted +
-                           assets.stats[2 * t + 1].reexecuted);
-      out.counters.add("fault_retries",
-                       assets.stats[2 * t].fault_retries +
-                           assets.stats[2 * t + 1].fault_retries);
-      out.counters.add("crash_recoveries",
-                       assets.stats[2 * t].crash_recoveries +
-                           assets.stats[2 * t + 1].crash_recoveries);
+      add_rank_stats(assets.stats[2 * t], assets.stats[2 * t + 1],
+                     out.counters);
+      consumed += assets.stats[2 * t + 1].frames_done;
     }
     out.prod_movement_us = nprod > 0 ? pm / nprod : 0.0;
     out.prod_idle_us = nprod > 0 ? pi / nprod : 0.0;
@@ -545,63 +394,18 @@ RepOutcome run_dag_repetition(const EnsembleConfig& config, std::uint32_t rep,
     out.cons_idle_us = ncons > 0 ? ci / ncons : 0.0;
 
     // Zero-data-loss acceptance metric: every edge-frame must be fetched.
-    std::uint64_t consumed = 0;
-    for (std::size_t t = 0; t < ntasks; ++t) {
-      consumed += assets.stats[2 * t + 1].frames_done;
-    }
     out.counters.add("frames_lost", consumed < plan.total_edge_frames
                                         ? plan.total_edge_frames - consumed
                                         : 0);
-
     if (config.solution == Solution::kDyad) {
       for (const auto& conn : assets.cons_conn) {
-        const auto& dc = static_cast<const DyadConnector&>(
-                             conn->stats_target())
-                             .consumer();
-        out.counters.add("dyad_warm_hits", dc.warm_hits());
-        out.counters.add("dyad_kvs_waits", dc.kvs_waits());
-        out.counters.add("dyad_kvs_retries", dc.kvs_retries());
-        out.counters.add("dyad_recovery_retries", dc.recovery_retries());
-        out.counters.add("dyad_failovers", dc.failovers());
-      }
-      for (std::uint32_t n = 0; n < config.nodes; ++n) {
-        out.counters.add("dyad_republishes", tb.node(n).dyad->republishes());
-        const auto& hs = tb.node(n).dyad->health_state();
-        out.counters.add("dyad_hedges", hs.hedges);
-        out.counters.add("dyad_hedge_wins", hs.hedge_wins);
-        out.counters.add("dyad_hedge_cancels", hs.hedge_cancels);
-        out.counters.add("dyad_breaker_trips", hs.breaker.trips());
-        out.counters.add("dyad_breaker_fast_fails", hs.breaker_fast_fails);
-        out.counters.add("dyad_busy_retries", hs.busy_retries);
+        add_dyad_consumer_counters(*conn, out.counters);
       }
     }
-    if (config.solution == Solution::kStream) {
-      for (std::uint32_t n = 0; n < config.nodes; ++n) {
-        const auto& sn = *tb.node(n).stream;
-        out.counters.add("stream_puts", sn.puts());
-        out.counters.add("stream_staged_hits", sn.staged_hits());
-        out.counters.add("stream_spills", sn.spills());
-        out.counters.add("stream_spill_reads", sn.spill_reads());
-        out.counters.add("stream_replays", sn.replays());
-        out.counters.add("stream_dup_drops", sn.dup_drops());
-        out.counters.add("stream_crash_drops", sn.crash_drops());
-        out.counters.add("stream_credit_waits", sn.credit_waits());
-        out.counters.add("stream_backpressure_stalls",
-                         sn.backpressure_stalls());
-        out.counters.add("stream_hedges", sn.hedges());
-        out.counters.add("stream_hedge_wins", sn.hedge_wins());
-      }
-    }
-    for (std::uint32_t n = 0; n < config.nodes; ++n) {
-      out.counters.add("torn_writes", tb.node(n).local_fs->torn_files());
-      out.counters.add("lost_dirty_pages", tb.node(n).cache->dirty_dropped());
-      out.counters.add("cache_hits", tb.node(n).cache->hits());
-      out.counters.add("cache_misses", tb.node(n).cache->misses());
-    }
-    collect_shared(tb, events_fired, out);
-    out.makespan_s = (workload_end - TimePoint::origin()).to_seconds();
-  }
-  return out;
+    add_node_counters(tb, config.solution, 0, config.nodes, out.counters);
+  };
+
+  return run_rank_repetition(config, rep, trace, wire, collect);
 }
 
 }  // namespace mdwf::workflow

@@ -6,8 +6,8 @@
 #include <vector>
 
 #include "mdwf/common/assert.hpp"
-#include "mdwf/common/fence.hpp"
 #include "mdwf/workflow/dag_run.hpp"
+#include "mdwf/workflow/rank_loop.hpp"
 
 namespace mdwf::workflow {
 
@@ -26,46 +26,58 @@ std::string pair_prefix(std::uint32_t pair) {
 
 namespace {
 
-// Frame-boundary timeline marker ("f=<n>") on the rank's trace lane.  The
-// frame number rides as the record payload; the name materializes at export.
-void trace_frame(const RankContext& ctx, std::uint64_t f) {
-  if (ctx.trace == nullptr) return;
-  ctx.trace->instant(ctx.frame_marker, ctx.sim->now(),
-                     static_cast<std::int64_t>(f));
-}
-
-std::uint64_t rank_epoch(const RankContext& ctx) {
-  return ctx.crash != nullptr ? ctx.crash->epoch(ctx.node) : 0;
-}
-
-// Fail-slow CPU: compute bursts stretch by the injector's current dilation
-// for this rank's node (kSlowNode windows; x1.0 outside them).
-double cpu_dilation(const RankContext& ctx) {
-  return ctx.injector != nullptr ? ctx.injector->cpu_dilation(ctx.node) : 1.0;
-}
+// Everything one classic rank needs on top of its RankEnv: its slice of the
+// workload, checkpoint and migration hooks.  Passed by value into the rank
+// coroutines — a context outlives nothing; the pointed-to objects must
+// outlive the rank.
+struct RankContext {
+  RankEnv env;
+  Connector* connector = nullptr;
+  WorkloadConfig workload{};
+  std::uint32_t pair = 0;
+  // Path namespace prepended to every frame path ("" classic;
+  // "<tenant>/" in multi-tenant runs so co-tenant frames never collide).
+  std::string ns;
+  // SLO pacing hook (null = none; see PacingHook).
+  PacingHook* pacing = nullptr;
+  Rng rng{1};  // producers only; consumers draw nothing
+  // Progress record to roll back to; null = restart re-executes everything.
+  Checkpoint* checkpoint = nullptr;
+  RankStats* stats = nullptr;
+  // Node the pair's other rank started on (a peer on a permanently-lost
+  // node can never re-supply frames without a plane).
+  std::uint32_t peer_node = 0;
+  // Peer rank's progress record, for the pair-min coordinated rollback: a
+  // migrated producer re-produces everything its consumer has not durably
+  // consumed (the lost node's copies are unreachable).
+  Checkpoint* peer_checkpoint = nullptr;
+  // With a membership plane: rebuilds this rank's node-bound resources
+  // (connector, subscriptions, checkpoint home) on the new node and returns
+  // the replacement connector.
+  std::function<Connector*(std::uint32_t node, std::uint64_t restart)>
+      rebuild{};
+  // Consumers only (non-null = record): per-frame get() latency in
+  // microseconds, the distribution behind the frame-fetch P99.
+  Samples* fetch_samples = nullptr;
+  // Shared per-pair frame publication times (index = frame).  The producer
+  // stamps each frame when its put completes; the consumer measures fetch
+  // latency from max(request, publish) so the metric is the cost of
+  // *moving* an available frame (the closed-loop variant of coordinated
+  // omission: an unmitigated-slow consumer never arrives early, so raw
+  // wall-clock would flatter exactly the configurations without health).
+  std::vector<TimePoint>* publish_times = nullptr;
+};
 
 // Rank restart after its node failed underneath it.  Without a membership
 // plane: park until power-on, then roll back to the last durable
-// checkpoint.  With one: ask the plane whether the node recovers or is
-// declared lost — a rank whose home was declared re-homes onto a surviving
-// node, rolls back to the pair-min of both ranks' durable records (the
-// coordinated rollback that re-produces everything the surviving peer
-// still needs), and rebinds its node-local resources there.  Returns the
-// frame to resume from; may change ctx.node/connector on migration.
+// checkpoint.  With one: a rank whose home was declared lost re-homes onto
+// a surviving node, rolls back to the pair-min of both ranks' durable
+// records (the coordinated rollback that re-produces everything the
+// surviving peer still needs), and rebinds its node-local resources there.
+// Returns the frame to resume from; may change the node/connector.
 sim::Task<std::uint64_t> crash_restart(RankContext& ctx) {
-  std::uint32_t target = ctx.node;
-  {
-    perf::ScopedRegion down(*ctx.recorder, "crash_restart",
-                            perf::Category::kIdle);
-    if (ctx.membership != nullptr) {
-      target =
-          co_await ctx.membership->wait_recover_or_migrate(ctx.member_rank);
-    } else {
-      co_await ctx.crash->wait_up(ctx.node);
-    }
-  }
-  if (ctx.stats != nullptr) ++ctx.stats->crash_recoveries;
-  if (target != ctx.node) {
+  const std::uint32_t target = co_await await_restart(ctx.env, ctx.stats);
+  if (target != ctx.env.node) {
     std::uint64_t restart = 0;
     if (ctx.checkpoint != nullptr) {
       restart = ctx.checkpoint->durable();
@@ -74,31 +86,9 @@ sim::Task<std::uint64_t> crash_restart(RankContext& ctx) {
       }
     }
     if (ctx.rebuild) ctx.connector = ctx.rebuild(target, restart);
-    ctx.node = target;
+    ctx.env.node = target;
   }
   co_return ctx.checkpoint != nullptr ? ctx.checkpoint->restore() : 0;
-}
-
-// Backoff-or-park decision for a retry loop whose peer's node is down.
-// Without a plane, a peer on a permanently-lost node can never re-supply
-// (or consume) frames: park on its up-event — which never fires — so the
-// run quiesces into the deadlock reporter instead of polling forever.
-// With a plane the peer migrates and re-supplies, so keep polling.
-bool park_on_lost_peer(const RankContext& ctx) {
-  return ctx.membership == nullptr && ctx.injector != nullptr &&
-         ctx.crash != nullptr && ctx.crash->down(ctx.peer_node) &&
-         ctx.injector->node_lost(ctx.peer_node);
-}
-
-// Account a finished frame iteration: distinct progress vs post-rollback
-// re-execution.
-void count_frame(RankStats* stats, std::uint64_t f, std::uint64_t& high) {
-  if (f < high) {
-    if (stats != nullptr) ++stats->reexecuted;
-  } else {
-    high = f + 1;
-    if (stats != nullptr) ++stats->frames_done;
-  }
 }
 
 // Frames below a restored checkpoint are durably complete; credit the ones
@@ -111,18 +101,12 @@ void credit_restored(RankStats* stats, std::uint64_t restored,
   high = restored;
 }
 
-// Backoff between same-frame retries when a *remote* fault (crashed peer,
-// torn fabric) failed the frame but this rank's node kept its state.
-constexpr Duration kFaultRetryBackoff = Duration::milliseconds(50);
-// Hard cap so an unrecoverable configuration surfaces as the original error
-// instead of an endless poll loop.
-constexpr std::uint64_t kMaxFaultRetries = 10'000;
-
-}  // namespace
-
+// One producer rank: regions md_compute / serialize / produce /
+// producer_sync (plus fault_retry / crash_restart when recovering).
 sim::Task<void> run_producer(RankContext ctx) {
-  auto& sim = *ctx.sim;
-  auto& recorder = *ctx.recorder;
+  const RankEnv& env = ctx.env;
+  auto& sim = *env.sim;
+  auto& recorder = *env.recorder;
   const WorkloadConfig& workload = ctx.workload;
   const Bytes wire_bytes = workload.wire_bytes();
   if (workload.start_stagger > 0.0) {
@@ -133,7 +117,7 @@ sim::Task<void> run_producer(RankContext ctx) {
   std::uint64_t completed_high = 0;
   std::uint64_t f = 0;
   while (f < workload.frames) {
-    const std::uint64_t frame_epoch = rank_epoch(ctx);
+    const std::uint64_t frame_epoch = rank_epoch(env);
     if (ctx.pacing != nullptr) {
       // SLO-guard throttle: under contention the guard staggers production
       // so the tenant's consumer (and its neighbors) can catch up.
@@ -153,64 +137,38 @@ sim::Task<void> run_producer(RankContext ctx) {
       const double jitter =
           std::max(-0.5, ctx.rng.normal(0.0, workload.step_jitter_sigma));
       co_await sim.delay(workload.frame_compute() *
-                         ((1.0 + jitter) * cpu_dilation(ctx)));
+                         ((1.0 + jitter) * cpu_dilation(env)));
     }
     {
       perf::ScopedRegion ser(recorder, "serialize", perf::Category::kCompute);
-      co_await sim.delay(workload.serialize_time() * cpu_dilation(ctx));
+      co_await sim.delay(workload.serialize_time() * cpu_dilation(env));
     }
     if (workload.compress) {
       perf::ScopedRegion comp(recorder, "compress", perf::Category::kCompute);
-      co_await sim.delay(workload.compress_time() * cpu_dilation(ctx));
+      co_await sim.delay(workload.compress_time() * cpu_dilation(env));
     }
-    bool fenced = false;
-    for (std::uint64_t attempts = 0;; ++attempts) {
-      std::exception_ptr failure;
-      try {
-        perf::ScopedRegion produce(recorder, "produce");
-        co_await ctx.connector->put(ctx.ns + frame_path(ctx.pair, f),
-                                    wire_bytes, f);
-        if (ctx.publish_times != nullptr) (*ctx.publish_times)[f] = sim.now();
-        if (ctx.checkpoint != nullptr) co_await ctx.checkpoint->persist(f + 1);
-      } catch (const net::NetError&) {
-        failure = std::current_exception();
-      } catch (const storage::IoError&) {
-        failure = std::current_exception();
-      } catch (const fs::FsError&) {
-        failure = std::current_exception();
-      } catch (const StaleEpochError&) {
-        // This node was declared lost while its ranks kept running (a
-        // zombie cut off by a one-way partition): the first post-heal
-        // server round trip fenced the old incarnation.  Terminal for this
-        // incarnation — fall into the migration path below.
-        if (ctx.membership == nullptr) throw;
-        fenced = true;
-      }
-      if (fenced || failure == nullptr) break;
-      // Without a crash model a faulted put is fatal, exactly as before.
-      if (ctx.crash == nullptr || attempts >= kMaxFaultRetries) {
-        std::rethrow_exception(failure);
-      }
-      if (rank_epoch(ctx) != frame_epoch) break;  // our node died: see below
-      if (ctx.stats != nullptr) ++ctx.stats->fault_retries;
-      perf::ScopedRegion wait(recorder, "fault_retry", perf::Category::kIdle);
-      if (park_on_lost_peer(ctx)) {
-        co_await ctx.crash->wait_up(ctx.peer_node);
-      } else {
-        co_await sim.delay(kFaultRetryBackoff);
-      }
-    }
-    if (fenced || (ctx.crash != nullptr && rank_epoch(ctx) != frame_epoch)) {
+    const std::string path = ctx.ns + frame_path(ctx.pair, f);
+    const FrameOp put = co_await retry_frame_op(
+        env, frame_epoch, ctx.peer_node, ctx.stats, "produce",
+        [&]() -> sim::Task<void> {
+          co_await ctx.connector->put(path, wire_bytes, f);
+          (*ctx.publish_times)[f] = sim.now();
+          if (ctx.checkpoint != nullptr) {
+            co_await ctx.checkpoint->persist(f + 1);
+          }
+        });
+    if (put != FrameOp::kDone || rank_epoch(env) != frame_epoch) {
+      // Fenced, or our node died (the put was durable iff the checkpoint
+      // says so).
       f = co_await crash_restart(ctx);
       credit_restored(ctx.stats, f, completed_high);
       continue;
     }
-    trace_frame(ctx, f);
+    trace_frame(env, f);
     co_await ctx.connector->producer_sync(f);
-    if (ctx.crash != nullptr && rank_epoch(ctx) != frame_epoch) {
+    if (rank_epoch(env) != frame_epoch) {
       // Node failed while parked in producer_sync (consumer acks arrive
-      // from a live node); the put was already durable iff the checkpoint
-      // says so.
+      // from a live node).
       f = co_await crash_restart(ctx);
       credit_restored(ctx.stats, f, completed_high);
       continue;
@@ -219,106 +177,64 @@ sim::Task<void> run_producer(RankContext ctx) {
     if (ctx.pacing != nullptr) ctx.pacing->on_frame_produced(f);
     ++f;
   }
-  if (ctx.membership != nullptr) ctx.membership->rank_done();
+  if (env.membership != nullptr) env.membership->rank_done();
 }
 
+// One consumer rank: regions consume / deserialize / analytics (plus
+// fault_retry / crash_restart when recovering).
 sim::Task<void> run_consumer(RankContext ctx) {
-  auto& sim = *ctx.sim;
-  auto& recorder = *ctx.recorder;
+  const RankEnv& env = ctx.env;
+  auto& sim = *env.sim;
+  auto& recorder = *env.recorder;
   const WorkloadConfig& workload = ctx.workload;
   const Bytes wire_bytes = workload.wire_bytes();
   std::uint64_t completed_high = 0;
   std::uint64_t f = 0;
   while (f < workload.frames) {
-    const std::uint64_t frame_epoch = rank_epoch(ctx);
+    const std::uint64_t frame_epoch = rank_epoch(env);
     const TimePoint fetch_start = sim.now();
-    bool fenced = false;
-    for (std::uint64_t attempts = 0;; ++attempts) {
-      std::exception_ptr failure;
-      try {
-        perf::ScopedRegion consume(recorder, "consume");
-        co_await ctx.connector->get(ctx.ns + frame_path(ctx.pair, f),
-                                    wire_bytes, f);
-      } catch (const net::NetError&) {
-        failure = std::current_exception();
-      } catch (const storage::IoError&) {
-        failure = std::current_exception();
-      } catch (const fs::FsError&) {
-        failure = std::current_exception();
-      } catch (const StaleEpochError&) {
-        // Declared lost mid-run (zombie consumer); migrate below.
-        if (ctx.membership == nullptr) throw;
-        fenced = true;
-      }
-      if (fenced) break;
-      if (failure == nullptr) {
-        // Frame-fetch latency — from the frame being both requested and
-        // available (see RankContext::publish_times) to the bytes landing,
-        // including any retries/hedging below the connector; its P99 is the
-        // gray-failure headline metric.  A hedge can finish off the Lustre
-        // replica before the producer's own put() returns; the stamp is
-        // then still missing and the latency-from-availability is
-        // unmeasurable, so that (certainly-not-slow) fetch is skipped.
-        if (ctx.fetch_samples != nullptr || ctx.pacing != nullptr) {
-          TimePoint avail = fetch_start;
-          bool stamped = true;
-          if (ctx.publish_times != nullptr) {
-            const TimePoint pub = (*ctx.publish_times)[f];
-            stamped = pub != TimePoint::origin();
-            avail = std::max(avail, pub);
-          }
-          if (stamped) {
-            const double latency_us = (sim.now() - avail).to_micros();
-            if (ctx.fetch_samples != nullptr) {
-              ctx.fetch_samples->add(latency_us);
-            }
-            if (ctx.pacing != nullptr) {
-              ctx.pacing->on_fetch(sim.now(), latency_us);
-            }
-          }
-        }
-        break;
-      }
-      if (ctx.crash == nullptr || attempts >= kMaxFaultRetries) {
-        std::rethrow_exception(failure);
-      }
-      if (rank_epoch(ctx) != frame_epoch) break;
-      // Producer side is crashed or re-executing: poll until the frame
-      // (re)appears.
-      if (ctx.stats != nullptr) ++ctx.stats->fault_retries;
-      perf::ScopedRegion wait(recorder, "fault_retry", perf::Category::kIdle);
-      if (park_on_lost_peer(ctx)) {
-        co_await ctx.crash->wait_up(ctx.peer_node);
-      } else {
-        co_await sim.delay(kFaultRetryBackoff);
+    const std::string path = ctx.ns + frame_path(ctx.pair, f);
+    // A failed get polls until the producer side (crashed or re-executing)
+    // makes the frame (re)appear.
+    const FrameOp got = co_await retry_frame_op(
+        env, frame_epoch, ctx.peer_node, ctx.stats, "consume",
+        [&] { return ctx.connector->get(path, wire_bytes, f); });
+    if (got == FrameOp::kDone &&
+        (ctx.fetch_samples != nullptr || ctx.pacing != nullptr)) {
+      // The frame-fetch latency includes any retries/hedging below the
+      // connector; its P99 is the gray-failure headline metric.
+      if (const auto latency_us = fetch_latency_us(
+              sim.now(), fetch_start, *ctx.publish_times, f)) {
+        if (ctx.fetch_samples != nullptr) ctx.fetch_samples->add(*latency_us);
+        if (ctx.pacing != nullptr) ctx.pacing->on_fetch(sim.now(), *latency_us);
       }
     }
-    if (fenced || (ctx.crash != nullptr && rank_epoch(ctx) != frame_epoch)) {
+    if (got != FrameOp::kDone || rank_epoch(env) != frame_epoch) {
       f = co_await crash_restart(ctx);
       credit_restored(ctx.stats, f, completed_high);
       continue;
     }
-    trace_frame(ctx, f);
+    trace_frame(env, f);
     if (workload.compress) {
       perf::ScopedRegion dec(recorder, "decompress",
                              perf::Category::kCompute);
-      co_await sim.delay(workload.decompress_time() * cpu_dilation(ctx));
+      co_await sim.delay(workload.decompress_time() * cpu_dilation(env));
     }
     {
       perf::ScopedRegion des(recorder, "deserialize",
                              perf::Category::kCompute);
-      co_await sim.delay(workload.serialize_time() * cpu_dilation(ctx));
+      co_await sim.delay(workload.serialize_time() * cpu_dilation(env));
     }
     {
       // Analytics emulation matches the frame-generation frequency
       // (paper Sec. IV-C); analytics_scale > 1 models a consumer that
       // cannot keep pace.
       perf::ScopedRegion ana(recorder, "analytics", perf::Category::kCompute);
-      co_await sim.delay(workload.analytics_time() * cpu_dilation(ctx));
+      co_await sim.delay(workload.analytics_time() * cpu_dilation(env));
     }
     ctx.connector->acknowledge(f);
     if (ctx.checkpoint != nullptr) co_await ctx.checkpoint->persist(f + 1);
-    if (ctx.crash != nullptr && rank_epoch(ctx) != frame_epoch) {
+    if (rank_epoch(env) != frame_epoch) {
       // Crash during analytics/ack/persist: the analytics output since the
       // last durable record is gone; re-consume from there.
       f = co_await crash_restart(ctx);
@@ -329,23 +245,7 @@ sim::Task<void> run_consumer(RankContext ctx) {
     if (ctx.pacing != nullptr) ctx.pacing->on_frame_consumed(f);
     ++f;
   }
-  if (ctx.membership != nullptr) ctx.membership->rank_done();
-}
-
-namespace {
-
-sim::Task<void> run_all_and_mark(sim::Simulation& sim,
-                                 std::vector<sim::Task<void>> tasks,
-                                 TimePoint& end) {
-  co_await sim::all(sim, std::move(tasks));
-  end = sim.now();
-}
-
-// Per-frame mean of a category inside a region subtree, in microseconds.
-double per_frame_us(const perf::CallTree& tree, std::string_view subtree,
-                    perf::Category cat, std::uint64_t frames) {
-  return tree.category_time(subtree, cat).to_micros() /
-         static_cast<double>(frames);
+  if (env.membership != nullptr) env.membership->rank_done();
 }
 
 // Registration order of every counter — the stable column order of tables
@@ -440,13 +340,8 @@ void build_rank_set(Testbed& tb, const RankSetSpec& spec, const Rng& set_rng,
                              .sync = sync,
                              .recorder = rec};
       slot = factory ? factory(cs, pair, consumer) : make_connector(cs);
-      if (consumer && solution == Solution::kDyad &&
-          tb.params().dyad.push_mode) {
-        tb.dyad_domain().subscribe(ns + pair_prefix(pair), net::NodeId{node});
-      }
-      if (consumer && solution == Solution::kStream) {
-        tb.stream_domain().subscribe(ns + pair_prefix(pair),
-                                     net::NodeId{node});
+      if (consumer) {
+        subscribe_consumer(tb, solution, ns + pair_prefix(pair), node);
       }
       if (ckpt != nullptr) {
         ckpt->migrate(*tb.node(node).local_fs, node, restart);
@@ -490,17 +385,10 @@ void build_rank_set(Testbed& tb, const RankSetSpec& spec, const Rng& set_rng,
     assets.cons_conn.push_back(spec.connectors
                                    ? spec.connectors(cconn, pair, true)
                                    : make_connector(cconn));
-    if (spec.solution == Solution::kDyad && tb.params().dyad.push_mode) {
-      tb.dyad_domain().subscribe(spec.ns + pair_prefix(pair),
-                                 net::NodeId{cnode});
-    }
-    if (spec.solution == Solution::kStream) {
-      // Static route: the scheduler knows the placement, so first frames
-      // skip the KVS cold-start handshake (which stays as the fallback
-      // for routes learned at runtime, exercised by the unit tests).
-      tb.stream_domain().subscribe(spec.ns + pair_prefix(pair),
-                                   net::NodeId{cnode});
-    }
+    // Static route: the scheduler knows the placement, so first stream
+    // frames skip the KVS cold-start handshake (which stays as the fallback
+    // for routes learned at runtime, exercised by the unit tests).
+    subscribe_consumer(tb, spec.solution, spec.ns + pair_prefix(pair), cnode);
 
     Checkpoint* pckpt = nullptr;
     Checkpoint* cckpt = nullptr;
@@ -518,64 +406,58 @@ void build_rank_set(Testbed& tb, const RankSetSpec& spec, const Rng& set_rng,
     }
 
     RankContext pctx{
-        .sim = &sim,
+        .env = {.sim = &sim,
+                .recorder = &prec,
+                .node = pnode,
+                .crash = crash,
+                .injector = tb.fault_injector()},
         .connector = assets.prod_conn.back().get(),
-        .recorder = &prec,
         .workload = spec.workload,
         .pair = pair,
         .ns = spec.ns,
         .pacing = spec.pacing,
         .rng = set_rng.fork(spec.rng_scope + "pair" + std::to_string(pair)),
-        .node = pnode,
-        .crash = crash,
         .checkpoint = pckpt,
-        .stats = &assets.stats[2 * pair]};
-    RankContext cctx{.sim = &sim,
+        .stats = &assets.stats[2 * pair],
+        .peer_node = cnode_eff,
+        .peer_checkpoint = cckpt};
+    RankContext cctx{.env = {.sim = &sim,
+                             .recorder = &crec,
+                             .node = cnode_eff,
+                             .crash = crash,
+                             .injector = tb.fault_injector()},
                      .connector = assets.cons_conn.back().get(),
-                     .recorder = &crec,
                      .workload = spec.workload,
                      .pair = pair,
                      .ns = spec.ns,
                      .pacing = spec.pacing,
-                     .node = cnode_eff,
-                     .crash = crash,
                      .checkpoint = cckpt,
-                     .stats = &assets.stats[2 * pair + 1]};
-    pctx.injector = cctx.injector = tb.fault_injector();
-    pctx.peer_node = cnode_eff;
-    cctx.peer_node = pnode;
-    pctx.peer_checkpoint = cckpt;
-    cctx.peer_checkpoint = pckpt;
+                     .stats = &assets.stats[2 * pair + 1],
+                     .peer_node = pnode,
+                     .peer_checkpoint = pckpt,
+                     .fetch_samples = fetch_samples};
     if (auto* plane = tb.membership()) {
-      pctx.membership = cctx.membership = plane;
-      pctx.member_rank = plane->register_rank(pnode);
-      cctx.member_rank = plane->register_rank(cnode_eff);
-      pctx.peer_member_rank = cctx.member_rank;
-      cctx.peer_member_rank = pctx.member_rank;
+      pctx.env.membership = cctx.env.membership = plane;
+      pctx.env.member_rank = plane->register_rank(pnode);
+      cctx.env.member_rank = plane->register_rank(cnode_eff);
       if (spec.solution == Solution::kXfs) {
         // An XFS pair shares one local filesystem; split homes would
         // orphan every frame, so the pair migrates as a unit.
-        plane->bind_colocated(pctx.member_rank, cctx.member_rank);
+        plane->bind_colocated(pctx.env.member_rank, cctx.env.member_rank);
       }
       pctx.rebuild =
           make_rebuild(pair, /*consumer=*/false, sync, &prec, pckpt);
       cctx.rebuild = make_rebuild(pair, /*consumer=*/true, sync, &crec, cckpt);
     }
-    cctx.fetch_samples = fetch_samples;
     assets.pub_times.push_back(std::make_unique<std::vector<TimePoint>>(
         spec.workload.frames, TimePoint::origin()));
     pctx.publish_times = cctx.publish_times = assets.pub_times.back().get();
     if (sink != nullptr) {
       // One trace lane per rank, on the process of the node it runs on.
-      pctx.trace = cctx.trace = sink;
-      pctx.track = sink->track(trace_process(pnode),
-                               "producer" + std::to_string(pair));
-      cctx.track = sink->track(trace_process(cnode),
-                               "consumer" + std::to_string(pair));
-      pctx.frame_marker = sink->instant_series(pctx.track, "f=");
-      cctx.frame_marker = sink->instant_series(cctx.track, "f=");
-      prec.set_trace(sink, pctx.track);
-      crec.set_trace(sink, cctx.track);
+      attach_trace_lane(pctx.env, *sink, trace_process(pnode),
+                        "producer" + std::to_string(pair));
+      attach_trace_lane(cctx.env, *sink, trace_process(cnode),
+                        "consumer" + std::to_string(pair));
     }
     assets.tasks.push_back(run_producer(pctx));
     assets.tasks.push_back(run_consumer(cctx));
@@ -616,64 +498,15 @@ void collect_rank_set(Testbed& tb, const RankSetSpec& spec,
     if (spec.solution == Solution::kDyad) {
       // A migrated consumer's pre-migration counters live on its retired
       // connector; fold every incarnation of this pair's consumer.
-      auto fold = [&out](const Connector& c) {
-        const auto& dc =
-            static_cast<const DyadConnector&>(c.stats_target()).consumer();
-        out.counters.add("dyad_warm_hits", dc.warm_hits());
-        out.counters.add("dyad_kvs_waits", dc.kvs_waits());
-        out.counters.add("dyad_kvs_retries", dc.kvs_retries());
-        out.counters.add("dyad_recovery_retries", dc.recovery_retries());
-        out.counters.add("dyad_failovers", dc.failovers());
-      };
-      fold(*assets.cons_conn[pair]);
+      add_dyad_consumer_counters(*assets.cons_conn[pair], out.counters);
       for (const auto& r : assets.retired_conn) {
-        if (r.pair == pair && r.consumer) fold(*r.conn);
+        if (r.pair == pair && r.consumer) {
+          add_dyad_consumer_counters(*r.conn, out.counters);
+        }
       }
     }
-  }
-  const std::uint32_t node_end = spec.node_base + spec.nodes;
-  if (spec.solution == Solution::kDyad) {
-    for (std::uint32_t n = spec.node_base; n < node_end; ++n) {
-      out.counters.add("dyad_republishes", tb.node(n).dyad->republishes());
-      const auto& hs = tb.node(n).dyad->health_state();
-      out.counters.add("dyad_hedges", hs.hedges);
-      out.counters.add("dyad_hedge_wins", hs.hedge_wins);
-      out.counters.add("dyad_hedge_cancels", hs.hedge_cancels);
-      out.counters.add("dyad_breaker_trips", hs.breaker.trips());
-      out.counters.add("dyad_breaker_fast_fails", hs.breaker_fast_fails);
-      out.counters.add("dyad_busy_retries", hs.busy_retries);
-    }
-  }
-  if (spec.solution == Solution::kStream) {
-    for (std::uint32_t n = spec.node_base; n < node_end; ++n) {
-      const auto& sn = *tb.node(n).stream;
-      out.counters.add("stream_puts", sn.puts());
-      out.counters.add("stream_staged_hits", sn.staged_hits());
-      out.counters.add("stream_spills", sn.spills());
-      out.counters.add("stream_spill_reads", sn.spill_reads());
-      out.counters.add("stream_replays", sn.replays());
-      out.counters.add("stream_dup_drops", sn.dup_drops());
-      out.counters.add("stream_crash_drops", sn.crash_drops());
-      out.counters.add("stream_credit_waits", sn.credit_waits());
-      out.counters.add("stream_backpressure_stalls",
-                       sn.backpressure_stalls());
-      out.counters.add("stream_hedges", sn.hedges());
-      out.counters.add("stream_hedge_wins", sn.hedge_wins());
-    }
-  }
-  for (std::uint32_t pair = 0; pair < spec.pairs; ++pair) {
-    out.counters.add("frames_produced", assets.stats[2 * pair].frames_done);
-    out.counters.add("frames_consumed",
-                     assets.stats[2 * pair + 1].frames_done);
-    out.counters.add("frames_reexecuted",
-                     assets.stats[2 * pair].reexecuted +
-                         assets.stats[2 * pair + 1].reexecuted);
-    out.counters.add("fault_retries",
-                     assets.stats[2 * pair].fault_retries +
-                         assets.stats[2 * pair + 1].fault_retries);
-    out.counters.add("crash_recoveries",
-                     assets.stats[2 * pair].crash_recoveries +
-                         assets.stats[2 * pair + 1].crash_recoveries);
+    add_rank_stats(assets.stats[2 * pair], assets.stats[2 * pair + 1],
+                   out.counters);
     // Zero-data-loss acceptance metric: frames the consumer never
     // completed.  0 on every run that finished; nonzero only if a run was
     // collected after losing frames for good.
@@ -682,15 +515,11 @@ void collect_rank_set(Testbed& tb, const RankSetSpec& spec,
                                         ? spec.workload.frames - consumed
                                         : 0);
   }
+  add_node_counters(tb, spec.solution, spec.node_base,
+                    spec.node_base + spec.nodes, out.counters);
   for (const auto& ckpt : assets.ckpts) {
     out.counters.add("checkpoint_persists", ckpt->persists());
     out.counters.add("checkpoint_restores", ckpt->restores());
-  }
-  for (std::uint32_t n = spec.node_base; n < node_end; ++n) {
-    out.counters.add("torn_writes", tb.node(n).local_fs->torn_files());
-    out.counters.add("lost_dirty_pages", tb.node(n).cache->dirty_dropped());
-    out.counters.add("cache_hits", tb.node(n).cache->hits());
-    out.counters.add("cache_misses", tb.node(n).cache->misses());
   }
   const auto npairs = static_cast<double>(spec.pairs);
   out.prod_movement_us = pm / npairs;
@@ -734,85 +563,42 @@ void collect_shared(Testbed& tb, std::uint64_t events_fired,
 
 RepOutcome run_repetition(const EnsembleConfig& config, std::uint32_t rep,
                           obs::TraceSink* trace) {
-  // DAG workloads take the dependency-driven executor; the classic fixed
-  // pipeline below is bit-for-bit the pre-DAG code path.
+  // DAG workloads take the dependency-driven executor (dag_run.cpp).
   if (config.dag != nullptr) return run_dag_repetition(config, rep, trace);
-  MDWF_ASSERT(config.pairs >= 1);
-  const bool colocated =
-      config.nodes == 1 || config.placement == Placement::kColocated;
-  MDWF_ASSERT_MSG(colocated || config.nodes % 2 == 0,
-                  "split multi-node ensembles need an even node count");
-  MDWF_ASSERT_MSG(config.solution != Solution::kXfs || colocated,
-                  "XFS cannot move data between nodes (paper Sec. III-B)");
-
-  RepOutcome out;
-  register_ensemble_counters(out.counters);
-
-  {
-    TestbedParams tp = config.testbed;
-    tp.compute_nodes = config.nodes;
-    // Each repetition draws an independent corruption history (same prime
-    // stride scheme as the workload seeds: deterministic, non-overlapping).
-    tp.integrity.seed = config.base_seed + rep * 7919;
-    tp.trace = trace;
-
-    // Declared before the testbed: if a repetition throws (e.g. deadlock),
-    // the testbed must unwind first — destroying the simulation destroys the
-    // blocked coroutines, whose scoped regions close against the recorders,
-    // so everything the coroutine frames touch has to outlive `tb`.
-    RankSetAssets assets;
-
-    Testbed tb(tp);
-    auto& sim = tb.simulation();
-
-    // Crash/restart model: crash windows in the plan switch the rank loops
-    // to their crash-aware form and (by default) enable checkpointing.
-    fault::CrashMonitor* crash = nullptr;
-    const bool crash_aware = tb.fault_injector() != nullptr &&
-                             tb.fault_injector()->has_crash_windows();
-    if (crash_aware) crash = &tb.fault_injector()->monitor();
-
-    RankSetSpec spec;
-    spec.solution = config.solution;
-    spec.pairs = config.pairs;
-    spec.node_base = 0;
-    spec.nodes = config.nodes;
-    spec.placement = config.placement;
-    spec.workload = config.workload;
-    spec.checkpoint = config.checkpoint;
-    spec.crash_aware = crash_aware;
-
-    const Rng rep_rng(config.base_seed + rep);
-    build_rank_set(tb, spec, rep_rng, crash, &out.cons_fetch_us, assets);
-
-    if (config.lustre_interference) {
-      config.interference.validate();
-      // Horizon generously beyond the serialized-workflow makespan.
-      const Duration per_frame =
-          config.workload.frame_compute() +
-          config.workload.analytics_time();
-      const TimePoint horizon =
-          TimePoint::origin() +
-          per_frame * static_cast<std::int64_t>(3 * config.workload.frames) +
-          Duration::seconds_i(30);
-      sim.spawn(fs::run_ost_interference(sim, tb.lustre(),
-                                         config.interference,
-                                         rep_rng.fork("interference"),
-                                         horizon));
-    }
-
-    TimePoint workload_end;
-    sim.spawn(run_all_and_mark(sim, std::move(assets.tasks), workload_end));
-    const std::uint64_t events_fired = sim.run_to_quiescence();
-    // Close trace spans for fault windows still open at simulation end
-    // (gray windows often outlive the workload).
-    if (tb.fault_injector() != nullptr) tb.fault_injector()->finalize_trace();
-
-    collect_rank_set(tb, spec, assets, rep, {}, out);
-    collect_shared(tb, events_fired, out);
-    out.makespan_s = (workload_end - TimePoint::origin()).to_seconds();
-  }
-  return out;
+  RankSetSpec spec;
+  spec.solution = config.solution;
+  spec.pairs = config.pairs;
+  spec.nodes = config.nodes;
+  spec.placement = config.placement;
+  spec.workload = config.workload;
+  spec.checkpoint = config.checkpoint;
+  const Rng rep_rng(config.base_seed + rep);
+  // Declared before the repetition's testbed (run_rank_repetition).
+  RankSetAssets assets;
+  return run_rank_repetition(
+      config, rep, trace,
+      [&](Testbed& tb, fault::CrashMonitor* crash, RepOutcome& out) {
+        // Crash windows (by default) also enable checkpointing.
+        spec.crash_aware = crash != nullptr;
+        build_rank_set(tb, spec, rep_rng, crash, &out.cons_fetch_us, assets);
+        if (config.lustre_interference) {
+          config.interference.validate();
+          // Horizon generously beyond the serialized-workflow makespan.
+          const Duration per_frame = config.workload.frame_compute() +
+                                     config.workload.analytics_time();
+          const auto frames =
+              static_cast<std::int64_t>(3 * config.workload.frames);
+          const TimePoint horizon = TimePoint::origin() + per_frame * frames +
+                                    Duration::seconds_i(30);
+          tb.simulation().spawn(fs::run_ost_interference(
+              tb.simulation(), tb.lustre(), config.interference,
+              rep_rng.fork("interference"), horizon));
+        }
+        return std::move(assets.tasks);
+      },
+      [&](Testbed& tb, RepOutcome& out) {
+        collect_rank_set(tb, spec, assets, rep, {}, out);
+      });
 }
 
 void fold_repetition(EnsembleResult& into, RepOutcome rep) {

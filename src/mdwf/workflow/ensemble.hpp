@@ -114,7 +114,7 @@ class PacingHook {
     return Duration::zero();
   }
   // One consumer fetch completed with availability-relative latency
-  // `latency_us` (same metric as RankContext::fetch_samples).
+  // `latency_us` (same metric as EnsembleResult::cons_fetch_us).
   virtual void on_fetch(TimePoint now, double latency_us) {
     (void)now;
     (void)latency_us;
@@ -124,87 +124,15 @@ class PacingHook {
 };
 
 // Per-rank recovery bookkeeping, filled in by the rank coroutines and summed
-// into EnsembleResult counters.
+// into EnsembleResult counters.  The rank loops themselves live in
+// ensemble.cpp (producer/consumer) and dag_run.cpp (DAG tasks), on the
+// shared mechanics of rank_loop.hpp.
 struct RankStats {
   std::uint64_t frames_done = 0;      // distinct frames completed
   std::uint64_t reexecuted = 0;       // frame iterations redone after rollback
   std::uint64_t fault_retries = 0;    // same-frame retries after remote faults
   std::uint64_t crash_recoveries = 0; // rollback events (wait_up + restore)
 };
-
-// Everything one simulated rank needs: infrastructure handles, its slice of
-// the workload, and (optionally) where its trace events land.  Passed by
-// value into the rank coroutines — a context outlives nothing; the pointed-to
-// objects must outlive the rank as before.
-struct RankContext {
-  sim::Simulation* sim = nullptr;
-  Connector* connector = nullptr;
-  perf::Recorder* recorder = nullptr;
-  // Tracing (null = off): per-frame instants land on `track` via the
-  // pre-interned `frame_marker` series ("f=<n>"); region spans are emitted
-  // by the recorder itself (perf::Recorder::set_trace).
-  obs::TraceSink* trace = nullptr;
-  obs::TrackId track{};
-  obs::InstantId frame_marker{};
-  WorkloadConfig workload{};
-  std::uint32_t pair = 0;
-  // Path namespace prepended to every frame path ("" classic;
-  // "<tenant>/" in multi-tenant runs so co-tenant frames never collide).
-  std::string ns;
-  // SLO pacing hook (null = none; see PacingHook).
-  PacingHook* pacing = nullptr;
-  Rng rng{1};  // producers only; consumers draw nothing
-  // --- Crash/restart model (PR 3); all null/zero = healthy-cluster loop.
-  // Compute node the rank runs on (whose crash kills it).
-  std::uint32_t node = 0;
-  // Non-null when the fault plan has crash windows: the rank runs its
-  // crash-aware loop (epoch checks, wait_up, checkpoint rollback).
-  fault::CrashMonitor* crash = nullptr;
-  // Progress record to roll back to; null = restart re-executes everything.
-  Checkpoint* checkpoint = nullptr;
-  RankStats* stats = nullptr;
-  // Non-null when faults are injected: compute bursts stretch by the
-  // injector's current CPU dilation for this node (kSlowNode windows).
-  fault::FaultInjector* injector = nullptr;
-  // --- Membership plane (PR 9); all null/zero = classic park-forever
-  // recovery.  With a plane, a rank whose home node is declared lost
-  // migrates: it re-homes via wait_recover_or_migrate, rolls back to the
-  // pair-min checkpoint, and rebinds its node-local resources through
-  // `rebuild`.
-  membership::MembershipPlane* membership = nullptr;
-  std::uint32_t member_rank = 0;       // this rank's plane registration
-  std::uint32_t peer_member_rank = 0;  // the pair's other end
-  // Node the pair's other rank started on (consumer park logic: a peer on
-  // a permanently-lost node can never re-supply frames without a plane).
-  std::uint32_t peer_node = 0;
-  // Peer rank's progress record, for the pair-min coordinated rollback: a
-  // migrated producer re-produces everything its consumer has not durably
-  // consumed (the lost node's copies are unreachable).
-  Checkpoint* peer_checkpoint = nullptr;
-  // Rebuilds this rank's node-bound resources (connector, subscriptions,
-  // checkpoint home) on the new node and returns the replacement connector.
-  std::function<Connector*(std::uint32_t node, std::uint64_t restart)>
-      rebuild;
-  // Consumers only (non-null = record): per-frame get() latency in
-  // microseconds, the distribution behind the frame-fetch P99.
-  Samples* fetch_samples = nullptr;
-  // Shared per-pair frame publication times (index = frame).  The producer
-  // stamps each frame when its put completes; the consumer measures fetch
-  // latency from max(request, publish) so the metric is the cost of
-  // *moving* an available frame — a consumer idling ahead of a slow
-  // producer is not a slow fetch (the closed-loop variant of coordinated
-  // omission: an unmitigated-slow consumer never arrives early, so raw
-  // wall-clock would flatter exactly the configurations without health).
-  std::vector<TimePoint>* publish_times = nullptr;
-};
-
-// One producer rank: regions md_compute / serialize / produce /
-// producer_sync (plus fault_retry / crash_restart when recovering).
-sim::Task<void> run_producer(RankContext ctx);
-
-// One consumer rank: regions consume / deserialize / analytics (plus
-// fault_retry / crash_restart when recovering).
-sim::Task<void> run_consumer(RankContext ctx);
 
 // Where consumer ranks live relative to their producers:
 //   kSplit     - producers on the first nodes/2 nodes, consumers on the

@@ -18,7 +18,6 @@
 #include "mdwf/common/time.hpp"
 #include "mdwf/net/fair_share.hpp"
 #include "mdwf/net/network.hpp"
-#include "mdwf/sim/calendar_queue.hpp"
 #include "mdwf/sim/event_heap.hpp"
 #include "mdwf/sim/simulation.hpp"
 
@@ -26,7 +25,6 @@ namespace mdwf {
 namespace {
 
 using namespace mdwf::literals;
-using sim::CalendarQueue;
 using sim::EventHeap;
 using sim::EventSlot;
 using sim::Simulation;
@@ -57,11 +55,11 @@ struct Oracle {
   }
 };
 
-// The same oracle checks both queue implementations: the 4-ary heap and the
-// calendar queue expose one interface and must produce one fire order.
+// The oracle checks the queue through its push/peek/pop/cancel interface;
+// a candidate replacement queue joins QueueTypes and must match it.
 template <typename Queue>
 class EventQueuePropertyTest : public ::testing::Test {};
-using QueueTypes = ::testing::Types<EventHeap, CalendarQueue>;
+using QueueTypes = ::testing::Types<EventHeap>;
 TYPED_TEST_SUITE(EventQueuePropertyTest, QueueTypes);
 
 TYPED_TEST(EventQueuePropertyTest, RandomScheduleCancelMatchesOracle) {
@@ -107,7 +105,7 @@ TYPED_TEST(EventQueuePropertyTest, RandomScheduleCancelMatchesOracle) {
 TYPED_TEST(EventQueuePropertyTest, InterleavedPopsMatchOracleSemantics) {
   // Pop and schedule interleaved (the real kernel pattern): fired events
   // recycle slots that later pushes immediately reuse.  Pushes never predate
-  // the last pop — the monotone-time contract the calendar queue requires.
+  // the last pop — the simulator's monotone-time contract.
   Rng rng(42);
   TypeParam heap;
   std::uint64_t next_seq = 0;
@@ -176,9 +174,7 @@ TYPED_TEST(EventQueuePropertyTest, PeekPopAgreeUnderChurn) {
 }
 
 TYPED_TEST(EventQueuePropertyTest, SparseScheduleJumpsGapsInOrder) {
-  // Widely separated clusters (the calendar queue's worst case: whole laps
-  // with nothing due force the direct-search jump) must still drain in
-  // exact (at, seq) order.
+  // Widely separated clusters must still drain in exact (at, seq) order.
   TypeParam q;
   std::uint64_t next_seq = 0;
   std::vector<std::int64_t> keys;

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "mdwf/common/keyval.hpp"
 #include "mdwf/wload/json.hpp"
@@ -434,8 +436,9 @@ TEST(WloadReference, SynthHonorsDefaults) {
 
 // --- Config-surface registration (parse_ensemble_config) --------------------
 
-workflow::EnsembleConfig parse_cfg(
-    std::initializer_list<std::pair<std::string, std::string>> kvs) {
+using KeyValues = std::vector<std::pair<std::string, std::string>>;
+
+workflow::EnsembleConfig parse_cfg(const KeyValues& kvs) {
   KeyValueConfig cfg;
   for (const auto& [k, v] : kvs) cfg.set(k, v);
   return workflow::parse_ensemble_config(cfg, workflow::EnsembleConfig{});
@@ -499,6 +502,43 @@ TEST(WloadConfig, DagChunkMustBePositive) {
                                 {"dag_chunk", "0"}});
                    }),
                    "dag_chunk must be a positive byte count");
+}
+
+TEST(WloadConfig, OutOfRangeCountsNameTheKey) {
+  // Each row once aborted on an assertion, printed -nan/zero rows, or
+  // wrapped through the uint32 cast; every one must be a ConfigError.
+  const struct {
+    KeyValues kvs;
+    const char* needle;
+  } kCases[] = {
+      {{{"pairs", "0"}}, "pairs must be >= 1"},
+      {{{"nodes", "0"}}, "nodes must be >= 1"},
+      {{{"frames", "0"}}, "frames must be >= 1"},
+      {{{"reps", "0"}}, "reps must be >= 1"},
+      {{{"reps", "4294967296"}}, "reps must be at most 4294967295"},
+      {{{"pairs", "4294967297"}}, "pairs must be at most 4294967295"},
+      {{{"nodes", "4294967296"}}, "nodes must be at most 4294967295"},
+      {{{"threads", "4294967296"}}, "threads must be at most 4294967295"},
+      {{{"nodes", "3"}, {"pairs", "2"}}, "nodes=3: a split placement"},
+      {{{"solution", "xfs"}, {"nodes", "2"}}, "nodes=2: XFS cannot move"},
+      {{{"workload", "synth:chain"}, {"nodes", "0"}}, "nodes must be >= 1"},
+      {{{"workload", "synth:chain"}, {"solution", "xfs"}, {"nodes", "2"}},
+       "nodes=2: XFS cannot move"},
+  };
+  for (const auto& c : kCases) {
+    EXPECT_ERROR_HAS(error_of([&] { parse_cfg(c.kvs); }), c.needle);
+  }
+}
+
+TEST(WloadConfig, PlacementRulesAcceptValidLayouts) {
+  EXPECT_EQ(parse_cfg({{"nodes", "3"}, {"colocate", "1"}}).nodes, 3u);
+  EXPECT_EQ(parse_cfg({{"solution", "xfs"}, {"nodes", "2"}, {"colocate", "1"}})
+                .nodes,
+            2u);
+  // DAG tasks are placed round-robin: any node count works.
+  EXPECT_EQ(parse_cfg({{"workload", "synth:chain"}, {"nodes", "3"}}).nodes,
+            3u);
+  EXPECT_EQ(parse_cfg({{"threads", "0"}}).threads, 0u);
 }
 
 TEST(WloadConfig, DagScaleMustBePositive) {

@@ -8,24 +8,18 @@
 #   tools/bench.sh frontier   <solution_frontier-binary>  [threads] [out.json]
 #   tools/bench.sh cotenant   <cotenant_sweep-binary>     [threads] [out.json]
 #   tools/bench.sh membership <membership_sweep-binary>   [threads] [out.json]
-#   tools/bench.sh perf       <mdwf_run-binary>           [out.json] [baseline.json]
 #
 # Shared across suites: CSV/summary field extraction, wall-clock best-of-N
 # timing, byte-compare with a suite-labelled diagnostic, and the
 # BENCH_*.json emission convention (pretty-printed JSON written to the out
 # path AND echoed to stdout).
 #
-# `perf` is the regression gate: the pinned scale point (the BENCH_pr2
-# trace-overhead workload, so the traced-throughput history stays
-# comparable) run best-of-5 untraced and traced, events/sec written to
-# BENCH_pr7.json.  When a baseline file exists, a >10% drop in either
-# events/sec figure fails the script — except on single-hardware-thread
-# hosts, where timing noise swamps the signal and the gate reports a clear
-# skip notice instead (the JSON is still written).
+# Host-cost regressions are measured by bench/mdwf_bench (in-process
+# nanosecond timing with quartiles; see its README.md), not here.
 set -eu
 
-SUITES="trace resilience health scale frontier cotenant membership perf"
-SUITE="${1:?usage: bench.sh <trace|resilience|health|scale|frontier|cotenant|membership|perf> ...}"
+SUITES="trace resilience health scale frontier cotenant membership"
+SUITE="${1:?usage: bench.sh <trace|resilience|health|scale|frontier|cotenant|membership> ...}"
 shift
 
 # ---- shared helpers --------------------------------------------------------
@@ -579,98 +573,6 @@ print(json.dumps({k: v for k, v in doc.items() if k != "frontier"},
 EOF
 }
 
-suite_perf() {
-    RUN="${1:?usage: bench.sh perf <mdwf_run-binary> [out.json] [baseline.json]}"
-    OUT="${2:-BENCH_pr7.json}"
-    BASELINE="${3:-}"
-    # Default baseline: the committed history for this gate, if present.
-    [ -n "$BASELINE" ] || { [ -f "BENCH_pr7.json" ] && BASELINE="BENCH_pr7.json" || true; }
-    # Keep the BENCH_pr2 pinned point so the traced-throughput history
-    # stays directly comparable across PRs.
-    ARGS="solution=dyad pairs=4 nodes=2 frames=64 reps=5 output=csv"
-    TRACE_PATH="$(mktemp -u /tmp/mdwf_perf_gate.XXXXXX.json)"
-    N=5
-    CORES="$(host_threads)"
-
-    # Read the baseline BEFORE overwriting OUT (they may be the same file).
-    BASE_UNTRACED=""
-    BASE_TRACED=""
-    if [ -n "$BASELINE" ] && [ -f "$BASELINE" ]; then
-        BASE_UNTRACED="$(python3 -c 'import json,sys; d=json.load(open(sys.argv[1])); print(d["events_per_sec"]["untraced"] or "")' "$BASELINE" 2>/dev/null || true)"
-        BASE_TRACED="$(python3 -c 'import json,sys; d=json.load(open(sys.argv[1])); print(d["events_per_sec"]["traced"] or "")' "$BASELINE" 2>/dev/null || true)"
-    fi
-
-    echo "bench perf: $RUN $ARGS (best of $N)" >&2
-    time_run "$N" "$RUN" $ARGS
-    untraced_ms="$WALL_MS"
-    events="$(csv_field "$RUN_OUT" sim_events)"
-    [ -n "$events" ] || { echo "bench.sh perf: no sim_events column" >&2; exit 1; }
-    echo "  untraced: ${untraced_ms} ms, ${events} sim events" >&2
-    time_run "$N" "$RUN" $ARGS "trace=$TRACE_PATH"
-    traced_ms="$WALL_MS"
-    echo "  traced: ${traced_ms} ms" >&2
-    rm -f "$TRACE_PATH" "$TRACE_PATH.metrics.csv"
-
-    python3 - "$OUT" "$untraced_ms" "$traced_ms" "$events" "$N" "$CORES" \
-        "$BASE_UNTRACED" "$BASE_TRACED" <<'EOF'
-import json, sys
-out = sys.argv[1]
-untraced_ms, traced_ms, events, best_of, cores = map(int, sys.argv[2:7])
-base_untraced = int(sys.argv[7]) if sys.argv[7] else None
-base_traced = int(sys.argv[8]) if sys.argv[8] else None
-
-untraced_eps = round(events / (untraced_ms / 1000.0)) if untraced_ms else None
-traced_eps = round(events / (traced_ms / 1000.0)) if traced_ms else None
-
-def drop_pct(now, base):
-    if now is None or not base:
-        return None
-    return round(100.0 * (base - now) / base, 2)
-
-doc = {
-    "bench": "kernel_perf_gate",
-    "workload": "mdwf_run solution=dyad pairs=4 nodes=2 frames=64 reps=5",
-    "best_of": best_of,
-    "host_hardware_threads": cores,
-    "sim_events": events,
-    "wall_ms": {"untraced": untraced_ms, "traced": traced_ms},
-    "events_per_sec": {"untraced": untraced_eps, "traced": traced_eps},
-    "tracing_enabled_overhead_pct":
-        round(100.0 * (traced_ms - untraced_ms) / untraced_ms, 2)
-        if untraced_ms else None,
-    "baseline": {
-        "events_per_sec": {"untraced": base_untraced, "traced": base_traced},
-        "untraced_drop_pct": drop_pct(untraced_eps, base_untraced),
-        "traced_drop_pct": drop_pct(traced_eps, base_traced),
-    },
-    "gate": {"max_drop_pct": 10.0, "gated": cores > 1},
-}
-with open(out, "w") as f:
-    json.dump(doc, f, indent=2)
-    f.write("\n")
-print(json.dumps(doc, indent=2))
-
-if cores <= 1:
-    print("bench.sh perf: NOTICE: single hardware thread; measurements "
-          "recorded but the >10% regression gate is SKIPPED on this host",
-          file=sys.stderr)
-    sys.exit(0)
-worst = max((d for d in (doc["baseline"]["untraced_drop_pct"],
-                         doc["baseline"]["traced_drop_pct"])
-             if d is not None), default=None)
-if worst is None:
-    print("bench.sh perf: no baseline; gate records history only",
-          file=sys.stderr)
-elif worst > 10.0:
-    print(f"bench.sh perf: FAIL: events/sec dropped {worst}% vs baseline "
-          "(>10% gate)", file=sys.stderr)
-    sys.exit(1)
-else:
-    print(f"bench.sh perf: OK: worst drop vs baseline {worst}% (gate 10%)",
-          file=sys.stderr)
-EOF
-}
-
 # ---- dispatch --------------------------------------------------------------
 
 case "$SUITE" in
@@ -681,7 +583,6 @@ case "$SUITE" in
     frontier)   suite_frontier "$@" ;;
     cotenant)   suite_cotenant "$@" ;;
     membership) suite_membership "$@" ;;
-    perf)       suite_perf "$@" ;;
     *)
         # Same diagnostic shape as the C++ config binding (common/suggest):
         # name the bad input, list every valid choice, and point at the
