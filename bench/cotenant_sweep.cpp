@@ -18,10 +18,16 @@
 // stdout carries one "cotenant:" line per (intensity, isolation) cell and a
 // machine-readable "cotenant_sweep:" summary (tools/bench.sh cotenant turns
 // it into BENCH_pr8.json).  The CSV excludes wall-clock, so re-runs at any
-// thread count are byte-identical.  Exit 0 when every cell ran clean.
+// thread count are byte-identical.  Exit 0 when every cell ran clean and
+// the gates hold: isolation improves the victim's P99 at the heaviest storm
+// at least 2x (when the grid has a storm), and the solo tenant's overhead
+// over the classic runner stays within 2% (when it has intensity 0).  Exit
+// 1 on a failed cell or gate, 2 on an unknown key.
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "mdwf/common/format.hpp"
@@ -75,6 +81,15 @@ int main(int argc, char** argv) {
   const double slo_target = cfg.get_double("slo_target_us", 4000.0);
   const auto threads = static_cast<std::uint32_t>(cfg.get_uint("threads", 1));
   const std::string out_path = cfg.get_string("out", "");
+  static constexpr std::string_view kKeys[] = {
+      "intensities", "frames",  "reps", "pairs",
+      "slo_target_us", "threads", "out"};
+  try {
+    cfg.reject_unknown_keys(kKeys);
+  } catch (const ConfigError& e) {
+    std::fprintf(stderr, "cotenant_sweep: %s\n", e.what());
+    return 2;
+  }
 
   std::vector<Cell> cells;
   for (const std::uint32_t intensity : intensities) {
@@ -204,6 +219,8 @@ int main(int argc, char** argv) {
   }
   const double improvement =
       worst_on > 0.0 ? worst_off / worst_on : 1.0;
+  bool has_storm = false;
+  for (const Cell& c : cells) has_storm = has_storm || c.intensity > 0;
   std::printf("cotenant_sweep: cells=%zu solo_makespan_classic=%s "
               "solo_makespan_cotenant=%s solo_overhead_pct=%s "
               "worst_intensity=%u p99_off=%s p99_on=%s improvement=%s\n",
@@ -213,5 +230,20 @@ int main(int argc, char** argv) {
               format_double(worst_off, 3).c_str(),
               format_double(worst_on, 3).c_str(),
               format_double(improvement, 3).c_str());
-  return 0;
+
+  // Gates: the isolation machinery must at least halve the victim's fetch
+  // P99 under the heaviest storm, and a solo tenant must pay <= 2% (it
+  // actually pays exactly 0: the solo path IS the classic runner).
+  int status = 0;
+  if (has_storm && improvement < 2.0) {
+    std::fprintf(stderr, "cotenant_sweep: FAILED improvement %sx < 2x\n",
+                 format_double(improvement, 3).c_str());
+    status = 1;
+  }
+  if (has_solo && std::fabs(solo_overhead_pct) > 2.0) {
+    std::fprintf(stderr, "cotenant_sweep: FAILED solo overhead %s%% > 2%%\n",
+                 format_double(solo_overhead_pct, 4).c_str());
+    status = 1;
+  }
+  return status;
 }

@@ -1,0 +1,134 @@
+// The chaos-fuzz core: the one schedule/report driver and shrinker behind
+// every chaos_fuzz mode.  A mode supplies only what differs — how schedule
+// `index` is drawn from the master seed, the invariants one run checks, the
+// determinism replay, the printout, and what its shrinker drops and halves.
+#pragma once
+
+#include <cstdint>
+#include <cstdio>
+#include <functional>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "mdwf/sweep/sweep.hpp"
+
+namespace mdwf::fuzz {
+
+// The first violated invariant's description, or nullopt when all hold.
+using Verdict = std::optional<std::string>;
+
+template <class S>
+struct Mode {
+  std::string command;      // reproduce-line prefix, e.g. "chaos_fuzz dag=1"
+  std::string file_prefix;  // reproducer file prefix, e.g. "chaos_repro_dag_"
+  std::string summary;      // "chaos_fuzz: <n> <summary> [seed=<seed>]"
+  std::function<S(std::uint64_t seed, std::uint32_t index)> draw;
+  std::function<Verdict(const S&)> check;   // one run vs the invariants
+  std::function<Verdict(const S&)> replay;  // the determinism check
+  std::function<std::string(const S&)> describe;
+  std::function<S(S)> shrink;  // a minimal schedule that still fails
+};
+
+struct Options {
+  std::uint64_t schedules = 60;
+  std::uint64_t seed = 20260806;
+  std::int64_t only = -1;  // >= 0: check (and replay) just this index
+  bool verbose = false;
+  std::uint32_t threads = 1;
+};
+
+// Greedy ddmin step: removes one element of `items(s)` at a time (from
+// index `first` on), keeps the first removal under which `check` still
+// fails, and restarts, until no single removal fails.
+template <class S, class Items, class Check>
+void drop_one(S& s, Items items, const Check& check, std::size_t first = 0) {
+  bool progressed = true;
+  while (progressed) {
+    progressed = false;
+    for (std::size_t i = first; i < items(s).size(); ++i) {
+      S candidate = s;
+      auto& seq = items(candidate);
+      seq.erase(seq.begin() + static_cast<long>(i));
+      if (check(candidate).has_value()) {
+        s = std::move(candidate);
+        progressed = true;
+        break;
+      }
+    }
+  }
+}
+
+// Halves a size while `check` still fails, stopping at the first size that
+// passes; `halve` returns false once the size is at its floor.
+template <class S, class Halve, class Check>
+void halve_while_failing(S& s, Halve halve, const Check& check) {
+  while (true) {
+    S candidate = s;
+    if (!halve(candidate) || !check(candidate).has_value()) return;
+    s = std::move(candidate);
+  }
+}
+
+// Checks schedules [0, schedules) — every 8th (and an only= one) also
+// replayed for determinism — across the sweep pool.  Outcomes land in
+// per-index slots and are reported in index order, so output and exit code
+// match the serial run: 0 when all hold; else the lowest-index violation is
+// shrunk and its reproducer printed and written to <file_prefix><i>.txt,
+// returning 1.
+template <class S>
+int run(const Mode<S>& mode, const Options& opt) {
+  struct Outcome {
+    S s;
+    Verdict bad;
+    bool checked = false;
+  };
+  std::vector<Outcome> outcomes(opt.schedules);
+  std::vector<std::function<void()>> checks;
+  for (std::uint32_t i = 0; i < opt.schedules; ++i) {
+    if (opt.only >= 0 && static_cast<std::int64_t>(i) != opt.only) continue;
+    checks.push_back([&outcomes, &mode, &opt, i] {
+      Outcome& o = outcomes[i];
+      o.s = mode.draw(opt.seed, i);
+      if (i % 8 == 0 || opt.only >= 0) o.bad = mode.replay(o.s);
+      if (!o.bad.has_value()) o.bad = mode.check(o.s);
+      o.checked = true;
+    });
+  }
+  sweep::run_tasks(std::move(checks), opt.threads);
+
+  std::uint64_t ran = 0;
+  for (std::uint32_t i = 0; i < opt.schedules; ++i) {
+    const Outcome& o = outcomes[i];
+    if (!o.checked) continue;
+    ++ran;
+    if (opt.verbose) std::printf("%s\n", mode.describe(o.s).c_str());
+    if (!o.bad.has_value()) continue;
+
+    std::printf("FAILED %s\n  %s\nshrinking...\n", mode.describe(o.s).c_str(),
+                o.bad->c_str());
+    // Shrinking replays candidate schedules serially: it is a fix-up path,
+    // and a deterministic reproducer matters more than its wall-clock.
+    const std::string minimal = mode.describe(mode.shrink(o.s));
+    const std::string repro = mode.command + " seed=" +
+                              std::to_string(opt.seed) +
+                              " only=" + std::to_string(i);
+    std::printf("minimal %s\n  reproduce: %s\n", minimal.c_str(),
+                repro.c_str());
+    const std::string path = mode.file_prefix + std::to_string(i) + ".txt";
+    if (std::FILE* f = std::fopen(path.c_str(), "w")) {
+      std::fprintf(f, "violation: %s\nreproduce: %s\nminimal %s\n",
+                   o.bad->c_str(), repro.c_str(), minimal.c_str());
+      std::fclose(f);
+      std::printf("reproducer written to %s\n", path.c_str());
+    }
+    return 1;
+  }
+  std::printf("chaos_fuzz: %llu %s [seed=%llu]\n",
+              static_cast<unsigned long long>(ran), mode.summary.c_str(),
+              static_cast<unsigned long long>(opt.seed));
+  return 0;
+}
+
+}  // namespace mdwf::fuzz

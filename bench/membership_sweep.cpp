@@ -19,12 +19,16 @@
 // machine-readable summary line (tools/bench.sh membership turns a re-run
 // pair into BENCH_pr9.json).  The CSV excludes wall-clock, so re-runs at
 // any thread count are byte-identical.  Exit 0 when every point ran clean,
-// every faulted point delivered the full frame set, and the no-fault
-// overhead of leaving the plane enabled stays within the 2% gate.
+// every faulted point delivered the full frame set, the no-fault overhead
+// of leaving the plane enabled stays within the 2% gate, every spurious
+// declare fenced a zombie publish (stale_rejects > 0), and — given two or
+// more ceilings — the sweep brackets the spurious-declare crossover (some
+// heal-after-declare point declares, some rides the partition out).
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "mdwf/common/keyval.hpp"
@@ -146,6 +150,9 @@ int main(int argc, char** argv) {
   }
 
   bool all_delivered = true;
+  bool spurious_declare = false;  // some heal-after-declare point declared
+  bool rode_out = false;          // ... and some did not
+  bool unfenced = false;  // a spurious declare without a stale reject
   std::size_t idx = 2;
   for (const std::string& ceiling : ceilings) {
     for (const char* scenario : kScenarios) {
@@ -162,6 +169,11 @@ int main(int argc, char** argv) {
       // the plane-on fault-free run.
       const double mttr = makespan - makespan_on;
       all_delivered = all_delivered && lost == 0;
+      if (std::string_view(scenario) == "heal-after-declare") {
+        (declares > 0 ? spurious_declare : rode_out) = true;
+        unfenced = unfenced || (declares > 0 &&
+                                r.counters.get("stale_epoch_rejects") == 0);
+      }
       char line[320];
       std::snprintf(
           line, sizeof(line),
@@ -206,7 +218,19 @@ int main(int argc, char** argv) {
       result.points.size(), result.errors, overhead_pct,
       all_delivered ? 1 : 0,
       static_cast<unsigned long long>(result.total_sim_events));
-  // Gates: zero data loss everywhere, and the idle plane must cost <= 2%.
-  if (!all_delivered) return 1;
-  return std::fabs(overhead_pct) <= 2.0 ? 0 : 1;
+  // Gates: zero data loss everywhere, the idle plane must cost <= 2%, a
+  // spurious declare must fence the zombie's publishes, and a multi-ceiling
+  // sweep must bracket the spurious-declare crossover.
+  const auto gate = [](bool ok, const char* what) {
+    if (!ok) std::fprintf(stderr, "membership_sweep: FAILED %s\n", what);
+    return ok;
+  };
+  bool ok = gate(all_delivered, "a faulted point lost frames");
+  ok &= gate(std::fabs(overhead_pct) <= 2.0,
+             "idle membership plane costs more than 2%");
+  ok &= gate(!unfenced, "a spurious declare fenced no zombie publish");
+  ok &= gate(ceilings.size() < 2 || (spurious_declare && rode_out),
+             "ceiling sweep no longer brackets the spurious-declare "
+             "crossover");
+  return ok ? 0 : 1;
 }

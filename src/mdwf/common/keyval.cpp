@@ -4,6 +4,8 @@
 #include <cctype>
 #include <charconv>
 
+#include "mdwf/common/suggest.hpp"
+
 namespace mdwf {
 namespace {
 
@@ -147,6 +149,17 @@ std::vector<std::string> KeyValueConfig::unknown_keys() const {
     if (!known_.contains(k)) out.push_back(k);
   }
   return out;
+}
+
+void KeyValueConfig::reject_unknown_keys(
+    std::span<const std::string_view> candidates) const {
+  const auto unknown = unknown_keys();
+  if (unknown.empty()) return;
+  const std::vector<std::string_view> names(candidates.begin(),
+                                            candidates.end());
+  std::string msg = "unknown key(s):";
+  for (const auto& k : unknown) msg += " " + k + did_you_mean(k, names);
+  throw ConfigError(msg);
 }
 
 }  // namespace mdwf

@@ -10,6 +10,7 @@
 #include <istream>
 #include <map>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -48,6 +49,11 @@ class KeyValueConfig {
   // typos in experiment configs).
   void note_known(std::string_view key) const;
   std::vector<std::string> unknown_keys() const;
+
+  // Throws ConfigError "unknown key(s): k (did you mean 'x'?) ..." naming
+  // every unknown key on one line; `candidates` (the caller's full key set)
+  // feed the common/suggest hints.
+  void reject_unknown_keys(std::span<const std::string_view> candidates) const;
 
  private:
   std::optional<std::string> find(std::string_view key) const;

@@ -241,53 +241,4 @@ class TraceSink {
   std::size_t span_count_ = 0;
 };
 
-// RAII span guard: opens at construction, emits the completed span when
-// destroyed (or closed).  `clock` points at the simulation's virtual clock
-// (sim::Simulation::now_ptr()), so the guard reads "now" without a
-// dependency from obs onto the kernel.  A default-constructed or
-// null-sink guard is inert, matching the "no sink attached" convention.
-class ScopedSpan {
- public:
-  ScopedSpan() = default;
-  ScopedSpan(TraceSink* sink, SpanId id, const TimePoint* clock)
-      : sink_(sink), id_(id), clock_(clock) {
-    if (sink_ != nullptr) {
-      MDWF_ASSERT(clock_ != nullptr && id_.valid());
-      start_ = *clock_;
-    }
-  }
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-  ScopedSpan(ScopedSpan&& o) noexcept
-      : sink_(o.sink_), id_(o.id_), clock_(o.clock_), start_(o.start_) {
-    o.sink_ = nullptr;
-  }
-  ScopedSpan& operator=(ScopedSpan&& o) noexcept {
-    if (this != &o) {
-      close();
-      sink_ = o.sink_;
-      id_ = o.id_;
-      clock_ = o.clock_;
-      start_ = o.start_;
-      o.sink_ = nullptr;
-    }
-    return *this;
-  }
-  ~ScopedSpan() { close(); }
-
-  // Emits the span early (idempotent).
-  void close() {
-    if (sink_ != nullptr) {
-      sink_->span(id_, start_, *clock_ - start_);
-      sink_ = nullptr;
-    }
-  }
-
- private:
-  TraceSink* sink_ = nullptr;
-  SpanId id_{};
-  const TimePoint* clock_ = nullptr;
-  TimePoint start_{};
-};
-
 }  // namespace mdwf::obs

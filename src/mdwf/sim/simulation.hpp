@@ -44,10 +44,6 @@ class Simulation {
 
   TimePoint now() const { return now_; }
 
-  // Stable pointer to the virtual clock, for obs::ScopedSpan guards that
-  // must read "now" at destruction without holding the whole kernel.
-  const TimePoint* now_ptr() const { return &now_; }
-
   // --- Process management -------------------------------------------------
 
   // Registers and starts a detached process.  The first slice of the task

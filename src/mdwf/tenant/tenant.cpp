@@ -486,12 +486,11 @@ std::vector<std::string> split(const std::string& s, char sep) {
 
 Solution parse_solution_token(const std::string& tok,
                               const std::string& desc) {
-  if (tok == "dyad") return Solution::kDyad;
-  if (tok == "xfs") return Solution::kXfs;
-  if (tok == "lustre") return Solution::kLustre;
-  if (tok == "stream") return Solution::kStream;
-  throw ConfigError("bad tenant descriptor '" + desc + "': unknown solution '" +
-                    tok + "' (dyad|xfs|lustre|stream|noise)");
+  try {
+    return workflow::parse_solution(tok);
+  } catch (const ConfigError& e) {
+    throw ConfigError("bad tenant descriptor '" + desc + "': " + e.what());
+  }
 }
 
 std::uint64_t parse_uint_token(const std::string& tok,

@@ -12,10 +12,24 @@
 
 namespace mdwf::workflow {
 
-namespace {
-
+// Indexed by Solution's enumerator value.
 constexpr std::string_view kSolutionNames[] = {"dyad", "xfs", "lustre",
                                                "stream"};
+
+std::string_view solution_key(Solution s) {
+  return kSolutionNames[static_cast<std::size_t>(s)];
+}
+
+Solution parse_solution(std::string_view name) {
+  for (std::size_t i = 0; i < std::size(kSolutionNames); ++i) {
+    if (name == kSolutionNames[i]) return static_cast<Solution>(i);
+  }
+  // Fail fast: a typo must not silently fall back to a default solution.
+  throw ConfigError("unknown solution '" + std::string(name) + "'" +
+                    did_you_mean(name, kSolutionNames));
+}
+
+namespace {
 
 // Every key this binding understands, the candidate set for typo
 // suggestions (keys the caller reads before parsing are already marked
@@ -53,41 +67,14 @@ void require_positive(std::string_view key, std::uint64_t v) {
   if (v == 0) throw ConfigError(std::string(key) + " must be >= 1, got 0");
 }
 
-std::string solution_key(Solution s) {
-  switch (s) {
-    case Solution::kDyad:
-      return "dyad";
-    case Solution::kXfs:
-      return "xfs";
-    case Solution::kLustre:
-      return "lustre";
-    case Solution::kStream:
-      return "stream";
-  }
-  return "dyad";
-}
-
 }  // namespace
 
 EnsembleConfig parse_ensemble_config(const KeyValueConfig& cfg,
                                      const EnsembleConfig& defaults) {
   EnsembleConfig config = defaults;
 
-  const std::string solution =
-      cfg.get_string("solution", solution_key(defaults.solution));
-  if (solution == "dyad") {
-    config.solution = Solution::kDyad;
-  } else if (solution == "xfs") {
-    config.solution = Solution::kXfs;
-  } else if (solution == "lustre") {
-    config.solution = Solution::kLustre;
-  } else if (solution == "stream") {
-    config.solution = Solution::kStream;
-  } else {
-    // Fail fast: a typo must not silently fall back to a default solution.
-    throw ConfigError("unknown solution '" + solution + "'" +
-                      did_you_mean(solution, kSolutionNames));
-  }
+  config.solution = parse_solution(
+      cfg.get_string("solution", solution_key(defaults.solution)));
 
   const std::string model_name =
       cfg.get_string("model", std::string(defaults.workload.model.name));
@@ -289,13 +276,7 @@ EnsembleConfig parse_ensemble_config(const KeyValueConfig& cfg,
 
   // Fail fast on leftovers: every key the caller did not already consume
   // and this binding does not understand is a typo, diagnosed on one line.
-  if (const auto unknown = cfg.unknown_keys(); !unknown.empty()) {
-    std::string msg = "unknown key(s):";
-    for (const auto& k : unknown) {
-      msg += " " + k + did_you_mean(k, kKnownKeys);
-    }
-    throw ConfigError(msg);
-  }
+  cfg.reject_unknown_keys(kKnownKeys);
 
   return config;
 }

@@ -14,10 +14,21 @@
 // parsing so they are already marked known on `cfg`.
 #pragma once
 
+#include <string_view>
+
 #include "mdwf/common/keyval.hpp"
 #include "mdwf/workflow/ensemble.hpp"
 
 namespace mdwf::workflow {
+
+// The key=value spelling of a solution ("dyad", "xfs", "lustre", "stream"):
+// the one name table behind solution=, mdwf_advise's solutions= and the
+// tenants= grammar.  workflow::to_string gives the display name instead.
+std::string_view solution_key(Solution s);
+
+// Inverse of solution_key.  Throws mdwf::ConfigError "unknown solution
+// '<name>'" with a did-you-mean hint when a name is within two edits.
+Solution parse_solution(std::string_view name);
 
 // Throws mdwf::ConfigError on an unknown solution, model, fault scenario,
 // or leftover (unconsumed, unrecognized) key — with a did-you-mean hint

@@ -299,34 +299,6 @@ TEST(TraceSinkTest, InstantSeriesMaterializesPayloadSuffix) {
   EXPECT_TRUE(JsonChecker(json).valid());
 }
 
-TEST(TraceSinkTest, ScopedSpanEmitsOnDestruction) {
-  obs::TraceSink sink;
-  const obs::TrackId t = sink.track("node0", "producer0");
-  const obs::SpanId region = sink.span_id(t, "io_burst", "movement");
-  TimePoint clock = TimePoint::origin() + Duration::microseconds(10);
-  {
-    obs::ScopedSpan guard(&sink, region, &clock);
-    clock = clock + Duration::microseconds(5);
-  }
-  EXPECT_EQ(sink.span_count(), 1u);
-  const std::string json = sink.chrome_json();
-  EXPECT_NE(json.find("\"name\":\"io_burst\",\"cat\":\"movement\","
-                      "\"pid\":0,\"tid\":0,\"ts\":10.000,\"dur\":5.000"),
-            std::string::npos);
-
-  // Moved-from guards are inert; close() is idempotent.
-  obs::ScopedSpan a(&sink, region, &clock);
-  obs::ScopedSpan b(std::move(a));
-  b.close();
-  b.close();
-  EXPECT_EQ(sink.span_count(), 2u);
-
-  // A null-sink guard emits nothing.
-  { obs::ScopedSpan inert; }
-  { obs::ScopedSpan inert2(nullptr, obs::SpanId{}, nullptr); }
-  EXPECT_EQ(sink.span_count(), 2u);
-}
-
 // --- Traced ensemble runs ---------------------------------------------------
 
 workflow::EnsembleConfig tiny_config() {

@@ -319,5 +319,20 @@ TEST(TenantParse, RejectsMalformedDescriptors) {
   EXPECT_THROW(parse_multi_tenant(cfg, d), ConfigError);
 }
 
+TEST(TenantParse, SuggestsMisspeltSolution) {
+  KeyValueConfig cfg;
+  cfg.set("tenants", "victim@dyda/2/2,noise/8");
+  try {
+    parse_multi_tenant(cfg, workflow::EnsembleConfig{});
+    FAIL() << "a misspelt tenant solution must be rejected";
+  } catch (const ConfigError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("bad tenant descriptor 'victim@dyda/2/2'"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("did you mean 'dyad'"), std::string::npos) << what;
+  }
+}
+
 }  // namespace
 }  // namespace mdwf::tenant

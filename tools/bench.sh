@@ -1,7 +1,6 @@
 #!/usr/bin/env sh
 # One driver for every benchmark suite:
 #
-#   tools/bench.sh trace      <mdwf_run-binary>           [out.json]
 #   tools/bench.sh resilience <mdwf_run-binary>           [out.json]
 #   tools/bench.sh health     <mdwf_run-binary>           [out.json]
 #   tools/bench.sh scale      <scale_sweep-binary>        [threads] [out.json]
@@ -9,17 +8,18 @@
 #   tools/bench.sh cotenant   <cotenant_sweep-binary>     [threads] [out.json]
 #   tools/bench.sh membership <membership_sweep-binary>   [threads] [out.json]
 #
-# Shared across suites: CSV/summary field extraction, wall-clock best-of-N
-# timing, byte-compare with a suite-labelled diagnostic, and the
-# BENCH_*.json emission convention (pretty-printed JSON written to the out
-# path AND echoed to stdout).
+# Shared across suites: CSV/summary field extraction, byte-compare with a
+# suite-labelled diagnostic, and the BENCH_*.json emission convention
+# (pretty-printed JSON written to the out path AND echoed to stdout).  Every
+# pass/fail gate lives in the bench binary's own exit code; this driver only
+# byte-compares and records.
 #
 # Host-cost regressions are measured by bench/mdwf_bench (in-process
 # nanosecond timing with quartiles; see its README.md), not here.
 set -eu
 
-SUITES="trace resilience health scale frontier cotenant membership"
-SUITE="${1:?usage: bench.sh <trace|resilience|health|scale|frontier|cotenant|membership> ...}"
+SUITES="resilience health scale frontier cotenant membership"
+SUITE="${1:?usage: bench.sh <resilience|health|scale|frontier|cotenant|membership> ...}"
 shift
 
 # ---- shared helpers --------------------------------------------------------
@@ -36,24 +36,6 @@ summary_field() {
     printf '%s\n' "$1" | tr ' ' '\n' | awk -F= -v k="$2" '$1==k{print $2}'
 }
 
-now_ns() { date +%s%N; }
-
-# time_run <N> <binary> [args...]: best-of-N wall ms in WALL_MS, the run's
-# stdout (last attempt) in RUN_OUT.
-time_run() {
-    n="$1"; shift
-    WALL_MS=""
-    i=0
-    while [ "$i" -lt "$n" ]; do
-        start="$(now_ns)"
-        RUN_OUT="$("$@")"
-        end="$(now_ns)"
-        ms="$(( (end - start) / 1000000 ))"
-        if [ -z "$WALL_MS" ] || [ "$ms" -lt "$WALL_MS" ]; then WALL_MS="$ms"; fi
-        i=$((i + 1))
-    done
-}
-
 # byte_compare <a> <b> <label>: the determinism contract check.
 byte_compare() {
     cmp "$1" "$2" || {
@@ -67,53 +49,6 @@ host_threads() {
 }
 
 # ---- suites ----------------------------------------------------------------
-
-suite_trace() {
-    RUN="${1:?usage: bench.sh trace <mdwf_run-binary> [out.json]}"
-    OUT="${2:-BENCH_pr2.json}"
-    ARGS="solution=dyad pairs=4 nodes=2 frames=64 reps=5 output=csv"
-    TRACE_PATH="$(mktemp -u /tmp/mdwf_trace_overhead.XXXXXX.json)"
-
-    echo "bench trace: $RUN $ARGS" >&2
-    # The two untraced runs bracket the traced one so a noisy machine shows
-    # up as disagreement between them rather than as phantom overhead.
-    time_run 3 "$RUN" $ARGS
-    base1_ms="$WALL_MS"
-    events="$(csv_field "$RUN_OUT" sim_events)"
-    [ -n "$events" ] || { echo "bench.sh trace: no sim_events column" >&2; exit 1; }
-    echo "  untraced (a): ${base1_ms} ms (best of 3), ${events} sim events" >&2
-    time_run 3 "$RUN" $ARGS "trace=$TRACE_PATH"
-    traced_ms="$WALL_MS"
-    echo "  traced: ${traced_ms} ms (best of 3)" >&2
-    time_run 3 "$RUN" $ARGS
-    base2_ms="$WALL_MS"
-    echo "  untraced (b): ${base2_ms} ms (best of 3)" >&2
-    rm -f "$TRACE_PATH" "$TRACE_PATH.metrics.csv"
-
-    python3 - "$OUT" "$base1_ms" "$traced_ms" "$base2_ms" "$events" <<'EOF'
-import json, sys
-out, b1, tr, b2, ev = sys.argv[1], *map(int, sys.argv[2:6])
-base = min(b1, b2)
-doc = {
-    "bench": "trace_overhead",
-    "workload": "mdwf_run solution=dyad pairs=4 nodes=2 frames=64 reps=5",
-    "sim_events": ev,
-    "wall_ms": {"untraced_a": b1, "traced": tr, "untraced_b": b2},
-    "events_per_sec": {
-        "untraced": round(ev / (base / 1000.0)) if base else None,
-        "traced": round(ev / (tr / 1000.0)) if tr else None,
-    },
-    "tracing_enabled_overhead_pct":
-        round(100.0 * (tr - base) / base, 2) if base else None,
-    "untraced_noise_pct":
-        round(100.0 * abs(b1 - b2) / base, 2) if base else None,
-}
-with open(out, "w") as f:
-    json.dump(doc, f, indent=2)
-    f.write("\n")
-print(json.dumps(doc, indent=2))
-EOF
-}
 
 suite_resilience() {
     RUN="${1:?usage: bench.sh resilience <mdwf_run-binary> [out.json]}"
@@ -319,12 +254,14 @@ suite_cotenant() {
     TMP="$(mktemp -d)"
     trap 'rm -rf "$TMP"' EXIT
 
+    # The binary exits non-zero when an isolation gate fails.
     echo "cotenant_sweep threads=1..." >&2
-    S1="$("$BIN" threads=1 out="$TMP/serial.csv" | tail -n 1)"
+    "$BIN" threads=1 out="$TMP/serial.csv" > "$TMP/serial.txt"
+    S1="$(tail -n 1 "$TMP/serial.txt")"
     echo "  $S1" >&2
     echo "cotenant_sweep threads=$THREADS..." >&2
-    SN="$("$BIN" threads="$THREADS" out="$TMP/parallel.csv" | tail -n 1)"
-    echo "  $SN" >&2
+    "$BIN" threads="$THREADS" out="$TMP/parallel.csv" > "$TMP/parallel.txt"
+    tail -n 1 "$TMP/parallel.txt" >&2
 
     byte_compare "$TMP/serial.csv" "$TMP/parallel.csv" \
         "merged CSVs differ between thread counts"
@@ -335,19 +272,6 @@ suite_cotenant() {
     P99OFF="$(summary_field "$S1" p99_off)"
     P99ON="$(summary_field "$S1" p99_on)"
     WORST="$(summary_field "$S1" worst_intensity)"
-
-    # Gates: the isolation machinery must at least halve the victim's fetch
-    # P99 under the heaviest storm, and a solo tenant must pay <= 2% (it
-    # actually pays exactly 0: the solo path IS the classic runner).
-    GATE_FAIL=0
-    awk -v x="$IMPROVE" 'BEGIN { exit !(x + 0 >= 2.0) }' || {
-        echo "bench.sh cotenant: FAILED improvement ${IMPROVE}x < 2x" >&2
-        GATE_FAIL=1
-    }
-    awk -v x="$OVERHEAD" 'BEGIN { v = x + 0; if (v < 0) v = -v; exit !(v <= 2.0) }' || {
-        echo "bench.sh cotenant: FAILED solo overhead ${OVERHEAD}% > 2%" >&2
-        GATE_FAIL=1
-    }
 
     python3 - "$OUT" "$THREADS" "$WORST" "$P99OFF" "$P99ON" "$IMPROVE" \
         "$OVERHEAD" "$TMP/serial.csv" <<'EOF'
@@ -379,10 +303,6 @@ doc = {
     "victim_p99_us_isolation_on": float(p99_on),
     "isolation_improvement_x": float(improve),
     "solo_overhead_pct": float(overhead),
-    "gates": {
-        "isolation_improvement_x >= 2": float(improve) >= 2.0,
-        "abs(solo_overhead_pct) <= 2": abs(float(overhead)) <= 2.0,
-    },
     "merged_output_byte_identical": True,
 }
 with open(out, "w") as f:
@@ -390,7 +310,6 @@ with open(out, "w") as f:
     f.write("\n")
 print(json.dumps(doc, indent=2))
 EOF
-    return "$GATE_FAIL"
 }
 
 suite_frontier() {
@@ -474,9 +393,6 @@ doc = {
     "regimes": regimes,
     "csv_byte_identical_across_threads": True,
 }
-assert doc["errors"] == 0, "frontier points failed"
-assert doc["stream_wins"] >= 1 and doc["stream_losses"] >= 1, \
-    "grid no longer brackets the crossover"
 with open(out, "w") as f:
     json.dump(doc, f, indent=2)
     f.write("\n")
@@ -555,16 +471,6 @@ doc = {
     "frontier": points,
     "csv_byte_identical_across_threads": True,
 }
-assert doc["errors"] == 0, "membership sweep points failed"
-assert doc["all_frames_delivered"], "a faulted point lost frames"
-assert abs(doc["no_fault_overhead_pct"]) <= 2.0, \
-    "idle membership plane costs more than the 2% gate"
-assert any(p["declares"] > 0 for p in heal) and \
-       any(p["declares"] == 0 for p in heal), \
-    "ceiling sweep no longer brackets the spurious-declare crossover"
-assert all(p["stale_epoch_rejects"] > 0
-           for p in heal if p["declares"] > 0), \
-    "a spurious declare produced no fenced zombie publish"
 with open(out, "w") as f:
     json.dump(doc, f, indent=2)
     f.write("\n")
@@ -576,7 +482,6 @@ EOF
 # ---- dispatch --------------------------------------------------------------
 
 case "$SUITE" in
-    trace)      suite_trace "$@" ;;
     resilience) suite_resilience "$@" ;;
     health)     suite_health "$@" ;;
     scale)      suite_scale "$@" ;;

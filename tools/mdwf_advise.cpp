@@ -86,18 +86,6 @@ std::vector<std::string> split_list(const std::string& text) {
   return out;
 }
 
-constexpr std::string_view kSolutionNames[] = {"dyad", "xfs", "lustre",
-                                               "stream"};
-
-workflow::Solution parse_solution(const std::string& name) {
-  if (name == "dyad") return workflow::Solution::kDyad;
-  if (name == "xfs") return workflow::Solution::kXfs;
-  if (name == "lustre") return workflow::Solution::kLustre;
-  if (name == "stream") return workflow::Solution::kStream;
-  throw ConfigError("unknown solution '" + name + "'" +
-                    did_you_mean(name, kSolutionNames));
-}
-
 // One candidate run: a (workload, scenario, solution) cell plus the
 // resolved DAG (shared across the workload's cells — parsed once).
 struct Cell {
@@ -154,7 +142,7 @@ int main(int argc, char** argv) {
 
     std::vector<workflow::Solution> solutions;
     for (const auto& name : solution_names) {
-      solutions.push_back(parse_solution(name));
+      solutions.push_back(workflow::parse_solution(name));
     }
     for (const auto& s : scenarios) {
       // Validate scenario names up front (and reject the node-loss family:
@@ -202,16 +190,12 @@ int main(int argc, char** argv) {
                         std::to_string(scale));
     }
 
-    if (const auto unknown = cfg.unknown_keys(); !unknown.empty()) {
-      constexpr std::string_view kKeys[] = {
-          "workloads", "solutions", "scenarios", "nodes",     "reps",
-          "seed",      "threads",   "dag_tasks", "dag_width", "dag_seed",
-          "dag_runtime",            "dag_bytes", "dag_chunk", "dag_scale",
-          "out"};
-      std::string msg = "unknown key(s):";
-      for (const auto& k : unknown) msg += " " + k + did_you_mean(k, kKeys);
-      throw ConfigError(msg);
-    }
+    constexpr std::string_view kKeys[] = {
+        "workloads", "solutions", "scenarios", "nodes",     "reps",
+        "seed",      "threads",   "dag_tasks", "dag_width", "dag_seed",
+        "dag_runtime",            "dag_bytes", "dag_chunk", "dag_scale",
+        "out"};
+    cfg.reject_unknown_keys(kKeys);
 
     // Parse every workload once; all its sweep cells share the Dag.
     std::vector<std::shared_ptr<const wload::Dag>> dags;
