@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cmath>
 
 #include "mdwf/common/suggest.hpp"
 
@@ -118,15 +119,22 @@ double KeyValueConfig::get_double(std::string_view key,
                                   double fallback) const {
   const auto v = find(key);
   if (!v.has_value()) return fallback;
+  double out = 0.0;
   try {
     std::size_t pos = 0;
-    const double out = std::stod(*v, &pos);
+    out = std::stod(*v, &pos);
     if (pos != v->size()) throw std::invalid_argument("trailing");
-    return out;
   } catch (const std::exception&) {
     throw ConfigError("key '" + std::string(key) + "': '" + *v +
                       "' is not a number");
   }
+  // std::stod accepts nan and inf, which slip past every range check
+  // downstream (any comparison with NaN is false).
+  if (!std::isfinite(out)) {
+    throw ConfigError("key '" + std::string(key) + "': '" + *v +
+                      "' is not a finite number");
+  }
+  return out;
 }
 
 bool KeyValueConfig::get_bool(std::string_view key, bool fallback) const {

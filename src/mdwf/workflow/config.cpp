@@ -89,6 +89,7 @@ EnsembleConfig parse_ensemble_config(const KeyValueConfig& cfg,
       model->name == defaults.workload.model.name ? defaults.workload.stride
                                                   : model->stride;
   config.workload.stride = cfg.get_uint("stride", default_stride);
+  require_positive("stride", config.workload.stride);
 
   config.pairs = get_u32(cfg, "pairs", defaults.pairs);
   require_positive("pairs", config.pairs);

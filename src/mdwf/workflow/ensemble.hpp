@@ -51,7 +51,8 @@ struct WorkloadConfig {
   // In-situ data reduction (paper Sec. II-B): producers compress frames
   // before the put, consumers decompress after the get.  Fewer bytes move
   // at the price of codec CPU on both sides — worthwhile when the data
-  // path, not the CPU, is the bottleneck (see bench/ablation_reduction).
+  // path, not the CPU, is the bottleneck (see bench/figures
+  // ablation_reduction).
   bool compress = false;
   // Calibrated against md::compress_frame on synthetic frames.
   double compression_ratio = 1.9;

@@ -74,6 +74,22 @@ TEST(KeyValTest, TypeErrorsThrow) {
   EXPECT_EQ(cfg.get_int("neg", 0), -4);
 }
 
+TEST(KeyValTest, NonFiniteDoublesThrow) {
+  // std::stod parses these, and every downstream range check such as
+  // `analytics <= 0.0` is false for NaN.
+  KeyValueConfig cfg;
+  for (const std::string v : {"nan", "inf", "-inf"}) {
+    cfg.set("analytics", v);
+    try {
+      (void)cfg.get_double("analytics", 1.0);
+      ADD_FAILURE() << v << " was accepted";
+    } catch (const ConfigError& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "key 'analytics': '" + v + "' is not a finite number");
+    }
+  }
+}
+
 TEST(KeyValTest, BooleanSpellings) {
   KeyValueConfig cfg;
   for (const char* t : {"1", "true", "YES", "On"}) {

@@ -524,6 +524,10 @@ TEST(WloadConfig, OutOfRangeCountsNameTheKey) {
       {{{"workload", "synth:chain"}, {"nodes", "0"}}, "nodes must be >= 1"},
       {{{"workload", "synth:chain"}, {"solution", "xfs"}, {"nodes", "2"}},
        "nodes=2: XFS cannot move"},
+      {{{"stride", "0"}}, "stride must be >= 1"},
+      {{{"analytics", "nan"}}, "key 'analytics': 'nan' is not a finite"},
+      {{{"workload", "synth:chain"}, {"dag_scale", "nan"}},
+       "key 'dag_scale': 'nan' is not a finite"},
   };
   for (const auto& c : kCases) {
     EXPECT_ERROR_HAS(error_of([&] { parse_cfg(c.kvs); }), c.needle);

@@ -185,11 +185,15 @@ suite_scale() {
     TMP="$(mktemp -d)"
     trap 'rm -rf "$TMP"' EXIT
 
+    # The binary exits non-zero when a grid point fails; a pipe into tail
+    # would mask that, so read its summary line back from a file.
     echo "scale_sweep threads=1 ($ARGS)..." >&2
-    S1="$("$BIN" $ARGS threads=1 out="$TMP/serial.csv" | tail -n 1)"
+    "$BIN" $ARGS threads=1 out="$TMP/serial.csv" > "$TMP/serial.txt"
+    S1="$(tail -n 1 "$TMP/serial.txt")"
     echo "  $S1" >&2
     echo "scale_sweep threads=$THREADS ($ARGS)..." >&2
-    SN="$("$BIN" $ARGS threads="$THREADS" out="$TMP/parallel.csv" | tail -n 1)"
+    "$BIN" $ARGS threads="$THREADS" out="$TMP/parallel.csv" > "$TMP/parallel.txt"
+    SN="$(tail -n 1 "$TMP/parallel.txt")"
     echo "  $SN" >&2
 
     byte_compare "$TMP/serial.csv" "$TMP/parallel.csv" \
