@@ -1,27 +1,39 @@
-// The paper's evidence from one table-driven binary: Tables I-II, Figs.
-// 5-12, the design ablations and the resilience sweep.
+// The paper's evidence and the what-if studies from one table-driven
+// binary: Tables I-II, Figs. 5-12, the design ablations, and the
+// resilience, scale, solution-frontier, co-tenant, membership and
+// gray-failure mitigation sweeps.
 //
 //   figures <name>... [key=value ...]
 //
 // Each name is an entry of kFigures: a list of named ensemble cases (one
-// bar group each, a solution x scale point) plus a report.  key=value tokens
-// (the keys mdwf_run accepts: frames, reps, seed, threads, trace, faults,
-// ...) override every case's config; every named figure's cases bind before
-// any runs, so a bad key fails fast with a did-you-mean diagnostic.
+// bar group or grid point each, a solution x scale point) plus a report.
+// key=value tokens (the keys mdwf_run accepts: frames, reps, seed, threads,
+// trace, faults, ...) override every case's config; every named figure's
+// cases bind before any runs, so a bad key fails fast with a did-you-mean
+// diagnostic.
 //
-// Each case runs once on the parallel replica runner (deterministic; the
-// spread comes from its seeded repetitions) and prints its movement/idle
-// means on one line; then the figure prints its paper-style table and the
-// headline ratios next to the paper's published values.  stdout is
-// byte-identical for every threads= value; Table I's host-dependent codec
-// throughput goes to stderr.  MDWF_CSV_DIR=<dir> also dumps each case's
-// aggregated consumer call tree to <dir>/<label>.csv.
+// Each figure's cases run as one sweep on the parallel replica runner
+// (every (case, repetition) fans across the threads= workers;
+// deterministic, the spread comes from the seeded repetitions) and print
+// their movement/idle means, one line per case; then the figure prints its
+// report: a paper-style table with the headline ratios next to the paper's
+// published values, or a sweep's CSV and summary lines.  stdout is
+// byte-identical for every threads= value; the host-dependent numbers
+// (Table I's codec throughput, the scale sweep's wall time) go to stderr.
+// MDWF_CSV_DIR=<dir> also dumps each case's aggregated consumer call tree
+// to <dir>/<label>.csv.
 //
-// Exit code 0 on success, 1 when a case fails, 2 on an unknown name, no
-// name, or a bad key (one stderr line each).
+// The solution-frontier, co-tenant and membership reports gate their
+// findings: each failed check prints one "figures: <name>: FAILED <what>"
+// line on stderr.
+//
+// Exit code 0 on success; 1 when a case fails (at once) or a gate fails
+// (after every named report has printed); 2 on an unknown name, no name,
+// or a bad key (one stderr line each).
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -31,6 +43,8 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "mdwf/common/assert.hpp"
@@ -53,23 +67,36 @@ using workflow::EnsembleResult;
 using workflow::Placement;
 using workflow::Solution;
 
-// Named ensemble configuration (one bar group in a figure).
-struct Case {
-  std::string label;
-  EnsembleConfig config;
-};
+// Named ensemble configuration (one bar group or grid point of a figure).
+using Case = sweep::SweepPoint;
 
-// One figure's bound cases and, once they ran, their results by label.
+// One figure's bound cases and, once they ran, the sweep over them (one
+// point per case, in case order).
 struct Run {
+  std::string_view name;
   std::vector<Case> cases;
-  std::map<std::string, EnsembleResult> results;
+  sweep::SweepResult sweep;
 
+  const sweep::PointResult& point(const std::string& label) const {
+    const auto it =
+        std::ranges::find(sweep.points, label, &sweep::PointResult::label);
+    MDWF_ASSERT_MSG(it != sweep.points.end(), "figure case did not run");
+    return *it;
+  }
   const EnsembleResult& at(const std::string& label) const {
-    const auto it = results.find(label);
-    MDWF_ASSERT_MSG(it != results.end(), "figure case did not run");
-    return it->second;
+    return point(label).result;
   }
 };
+
+// One check of a report's finding; a failed one prints
+// "figures: <name>: FAILED <what>" on stderr.
+bool gate(const Run& run, bool ok, const std::string& what) {
+  if (!ok) {
+    std::fprintf(stderr, "figures: %s: FAILED %s\n",
+                 std::string(run.name).c_str(), what.c_str());
+  }
+  return ok;
+}
 
 // Per-frame means (us) that headlines compare between cases.
 using Metric = double (*)(const EnsembleResult&);
@@ -92,6 +119,18 @@ EnsembleConfig make_config(Solution solution, std::uint32_t pairs,
   c.repetitions = 10;
   c.base_seed = 1;
   return c;
+}
+
+// A config bound from key=value pairs exactly as mdwf_run binds them, over
+// its two-node default: every cross-key rule applies (XFS single-node,
+// retry-on-faults, integrity auto-enable).
+EnsembleConfig bind(
+    std::initializer_list<std::pair<const char*, std::string>> keys) {
+  KeyValueConfig cfg;
+  for (const auto& [key, value] : keys) cfg.set(key, value);
+  EnsembleConfig defaults;
+  defaults.nodes = 2;
+  return workflow::parse_ensemble_config(cfg, defaults);
 }
 
 // Every solution x every axis point, solution-major, labelled
@@ -910,8 +949,7 @@ void resilience_report(const Run& run) {
   }
   std::printf("%s\n", t.render().c_str());
 
-  // Recovered-run overhead: crash-flip vs the fault-free baseline, the
-  // headline number `tools/bench.sh resilience` records.
+  // Recovered-run overhead: crash-flip vs the fault-free baseline.
   std::printf("recovered-run overhead vs fault-free (makespan):\n");
   for (const auto s : kAllSolutions) {
     const auto& base = run.at(label_for(s, "none"));
@@ -980,30 +1018,604 @@ void resilience_report(const Run& run) {
       "complete verified frame set.\n");
 }
 
+// Paper-scale sweep: the DYAD-vs-Lustre grid at production scale.
+//
+// The grid doubles pairs from 1 up to 64 with nodes sized for 8 ranks per
+// node (split placement: producers on one half, consumers on the other),
+// at STMV — the paper's largest model — for both DYAD and Lustre, plus the
+// headline points at the paper's full Corona allotment: 120 compute nodes,
+// 64 pairs.  The report is the sweep's canonical CSV, which has no
+// wall-clock column and so is byte-identical for every thread count, and a
+// summary line; the sweep's wall time and events/s go to stderr.  So
+//
+//   figures scale_sweep threads=1 > a.txt
+//   figures scale_sweep threads=4 > b.txt && cmp a.txt b.txt
+//
+// is the determinism check and the wall-clock ratio is the speedup.
+
+std::vector<Case> scale_cases() {
+  std::vector<Case> cases;
+  const auto add = [&](Solution s, const std::string& name,
+                       std::uint32_t pairs, std::uint32_t nodes) {
+    auto c = make_config(s, pairs, nodes, md::kStmv, md::kStmv.stride,
+                         /*frames=*/16);
+    c.repetitions = 3;
+    cases.push_back({name + "/pairs" + std::to_string(pairs) + "/nodes" +
+                         std::to_string(nodes),
+                     c});
+  };
+  for (std::uint32_t pairs = 1; pairs <= 64; pairs *= 2) {
+    // 8 ranks per node: 4 producer ranks per producer node, consumers
+    // mirrored on the other half (split placement needs an even count).
+    const std::uint32_t nodes = 2 * std::max(1u, (pairs + 7) / 8);
+    add(Solution::kDyad, "dyad", pairs, nodes);
+    add(Solution::kLustre, "lustre", pairs, nodes);
+  }
+  // Paper scale: the full Corona allotment, ranks spread thin.
+  add(Solution::kDyad, "dyad-corona", 64, 120);
+  add(Solution::kLustre, "lustre-corona", 64, 120);
+  return cases;
+}
+
+void scale_report(const Run& run) {
+  const sweep::SweepResult& r = run.sweep;
+  std::printf("\n%sscale_sweep: points=%zu errors=%zu sim_events=%llu\n",
+              r.to_csv().c_str(), r.points.size(), r.errors,
+              static_cast<unsigned long long>(r.total_sim_events));
+  // On a single-core host a "parallel" run measures thread overhead, not
+  // speedup; flag it instead of letting a misleading <1x stand.
+  const unsigned threads =
+      sweep::resolve_threads(run.cases.front().config.threads);
+  const unsigned host_threads =
+      std::max(1u, std::thread::hardware_concurrency());
+  if (host_threads == 1 && threads > 1) {
+    std::fprintf(stderr,
+                 "scale_sweep: warning: single hardware thread; the "
+                 "thread-count speedup is not meaningful on this host\n");
+  }
+  std::fprintf(stderr,
+               "scale_sweep: wall_s=%.3f events_per_s=%.0f threads=%u "
+               "host_threads=%u\n",
+               r.wall_seconds, r.events_per_second(), threads, host_threads);
+}
+
+// Four-solution frontier sweep: where does the streaming data plane beat
+// DYAD's first-touch sync, and where does it lose?
+//
+// The grid crosses frame size (model), consumer count (pairs), consumer
+// lag (the `analytics=` multiplier: lag > 1 is in-situ analysis slower
+// than production), and fault scenario for all four solutions (DYAD, XFS,
+// Lustre, stream).  The headline metric is the consumer frame-fetch
+// latency distribution: stream wins where frames fit the staging buffer
+// (the consumer dodges DYAD's per-frame KVS visibility wait), and loses
+// where lagging consumers let the aggregate staging demand
+//
+//   pairs x credits x frame_bytes  >  buffer_capacity
+//
+// push puts onto the spill path (a Lustre round trip plus up to one
+// arrival-timeout of subscriber blindness per frame).  That inequality is
+// the crossover parameter the report names.
+//
+// The report prints one CSV row per point, then one "frontier:" line per
+// (model, pairs, lag, faults) regime comparing stream vs DYAD P99, then a
+// summary line.  The CSV excludes wall-clock, so it is byte-identical at
+// any thread count.  Gate: both frontier sides are non-empty; an all-win
+// or all-lose grid no longer brackets the crossover.
+
+// One frontier regime; each runs all four solutions.
+struct Regime {
+  std::string model;
+  std::string pairs;
+  std::string lag;
+  std::string faults;
+  auto operator<=>(const Regime&) const = default;
+};
+
+std::vector<Regime> frontier_regimes() {
+  std::vector<Regime> regimes;
+  for (const char* model : {"JAC", "STMV"}) {
+    for (const char* pairs : {"1", "4", "8"}) {
+      for (const char* lag : {"1", "8"}) {
+        for (const char* faults : {"none", "lossy-link", "overload"}) {
+          regimes.push_back({model, pairs, lag, faults});
+        }
+      }
+    }
+  }
+  return regimes;
+}
+
+std::string frontier_label(Solution s, const Regime& r) {
+  return std::string(workflow::solution_key(s)) + "/" + r.model + "/pairs" +
+         r.pairs + "/lag" + r.lag + "/" + r.faults;
+}
+
+std::vector<Case> frontier_cases() {
+  std::vector<Case> cases;
+  for (const Regime& r : frontier_regimes()) {
+    for (const Solution s : kAllSolutions) {
+      cases.push_back(
+          {frontier_label(s, r),
+           bind({{"solution", std::string(workflow::solution_key(s))},
+                 {"model", r.model}, {"pairs", r.pairs},
+                 {"analytics", r.lag}, {"frames", "8"}, {"reps", "2"},
+                 {"faults", r.faults}})});
+    }
+  }
+  return cases;
+}
+
+bool frontier_report(const Run& run) {
+  std::printf(
+      "\nsolution,model,pairs,nodes,lag,faults,frame_mib,fetch_p50_us,"
+      "fetch_p99_us,cons_move_us,cons_idle_us,makespan_s,stream_staged_hits,"
+      "stream_spills,stream_spill_reads,stream_credit_waits,"
+      "stream_backpressure_stalls,integrity_unrecovered,frames_consumed\n");
+  // Regime -> {stream, DYAD} consumer fetch P99 (us), for the frontier.
+  std::map<Regime, std::pair<double, double>> p99;
+  for (const Regime& regime : frontier_regimes()) {
+    for (const Solution s : kAllSolutions) {
+      const sweep::PointResult& pt = run.point(frontier_label(s, regime));
+      const EnsembleResult& r = pt.result;
+      const double fetch_p99 = r.cons_fetch_us.quantile(0.99);
+      if (s == Solution::kStream) p99[regime].first = fetch_p99;
+      if (s == Solution::kDyad) p99[regime].second = fetch_p99;
+      const auto n = [&](const char* counter) {
+        return static_cast<unsigned long long>(r.counters.get(counter));
+      };
+      std::printf(
+          "%s,%s,%s,%u,%s,%s,%.3f,%.1f,%.1f,%.1f,%.1f,%.4f,%llu,%llu,%llu,"
+          "%llu,%llu,%llu,%llu\n",
+          std::string(workflow::solution_key(s)).c_str(),
+          regime.model.c_str(), regime.pairs.c_str(), pt.config.nodes,
+          regime.lag.c_str(), regime.faults.c_str(),
+          pt.config.workload.model.frame_bytes().to_mib(),
+          r.cons_fetch_us.quantile(0.50), fetch_p99,
+          r.cons_movement_us.mean(), r.cons_idle_us.mean(),
+          r.makespan_s.mean(), n("stream_staged_hits"), n("stream_spills"),
+          n("stream_spill_reads"), n("stream_credit_waits"),
+          n("stream_backpressure_stalls"), n("integrity_unrecovered"),
+          n("frames_consumed"));
+    }
+  }
+
+  // The frontier: stream vs DYAD consumer fetch P99 per regime, annotated
+  // with the staging-demand side of the crossover inequality.
+  const stream::StreamParams stream_defaults{};
+  const double buffer_mib = stream_defaults.buffer_capacity.to_mib();
+  std::size_t wins = 0;
+  std::size_t losses = 0;
+  for (const auto& [regime, stream_dyad] : p99) {
+    const auto [stream_p99, dyad_p99] = stream_dyad;
+    const double demand_mib =
+        std::stod(regime.pairs) * stream_defaults.credits *
+        md::find_model(regime.model)->frame_bytes().to_mib();
+    const bool win = stream_p99 < dyad_p99;
+    (win ? wins : losses) += 1;
+    std::printf(
+        "frontier: model=%s pairs=%s lag=%s faults=%s stream_p99_us=%.1f "
+        "dyad_p99_us=%.1f staging_demand_mib=%.1f buffer_mib=%.1f "
+        "winner=%s\n",
+        regime.model.c_str(), regime.pairs.c_str(), regime.lag.c_str(),
+        regime.faults.c_str(), stream_p99, dyad_p99, demand_mib, buffer_mib,
+        win ? "stream" : "dyad");
+  }
+  std::printf(
+      "solution_frontier: points=%zu errors=%zu stream_wins=%zu "
+      "stream_losses=%zu sim_events=%llu\n",
+      run.sweep.points.size(), run.sweep.errors, wins, losses,
+      static_cast<unsigned long long>(run.sweep.total_sim_events));
+  return gate(run, wins >= 1 && losses >= 1,
+              "the grid no longer brackets the stream/DYAD crossover "
+              "(stream_wins=" +
+                  std::to_string(wins) +
+                  " stream_losses=" + std::to_string(losses) + ")");
+}
+
+// Co-tenant frontier: victim tail latency vs neighbor intensity, with and
+// without the isolation machinery.
+//
+// A DYAD victim ensemble shares one testbed with a KVS noise storm of
+// growing intensity (0 = solo).  Each intensity runs twice: isolation off
+// (no quotas, no SLO guard — the storm queues freely underneath the victim
+// at the shared broker) and isolation on (weighted fair-share quotas bound
+// the storm's in-flight share; the victim's SLO guard staggers production
+// and falls back to Lustre when its fetch-P99 target is breached anyway).
+// The frontier is the victim's fetch P99 across that grid: the gap between
+// the two curves is what the isolation machinery buys, and the intensity-0
+// pair pins the solo overhead (the co-tenant runner must match the classic
+// runner exactly when nobody shares — the solo contract).
+//
+// The figure's one case is that classic run.  The report builds the victim
+// from the case's bound config, so frames=, reps=, pairs=, ... size both,
+// runs the eight cells, and prints their CSV (no wall-clock, byte-identical
+// at any thread count), one "cotenant:" line per cell and a summary line.
+// Gates: the victim completes in every cell, isolation improves its P99
+// under the heaviest storm at least 2x, and the solo tenant's overhead
+// over the classic run stays within 2%.
+
+std::vector<Case> cotenant_cases() {
+  auto c = make_config(Solution::kDyad, /*pairs=*/2, /*nodes=*/2, md::kJac,
+                       md::kJac.stride, /*frames=*/4);
+  c.repetitions = 2;
+  c.base_seed = 7;
+  return {{"DYAD/classic", c}};
+}
+
+// The victim's numbers in one (intensity, isolation) cell of the grid.
+struct Cell {
+  std::uint32_t intensity = 0;
+  bool isolation = false;
+  double p99_us = 0.0;
+  double makespan_s = 0.0;
+  unsigned long long noise_sheds = 0;
+  unsigned long long quota_sheds = 0;
+  unsigned long long slo_escalations = 0;
+  unsigned long long slo_staggered = 0;
+  unsigned long long slo_fallback = 0;
+};
+
+bool cotenant_report(const Run& run) {
+  const Case& classic = run.cases.front();
+  const EnsembleConfig& solo = classic.config;
+  tenant::TenantSpec victim;
+  victim.name = "victim";
+  victim.solution = solo.solution;
+  victim.pairs = solo.pairs;
+  victim.nodes = solo.nodes;
+  victim.workload = solo.workload;
+  victim.slo_params.fetch_p99_target_us = 4000.0;
+  // Short bench runs produce few fetch samples per repetition; trust the
+  // window early so the guard can act inside the measured run.
+  victim.slo_params.min_samples = 4;
+  victim.slo_params.holdoff = Duration::milliseconds(100);
+  const std::uint64_t expected = static_cast<std::uint64_t>(solo.pairs) *
+                                 solo.workload.frames * solo.repetitions;
+
+  bool ok = true;
+  std::vector<Cell> cells;
+  for (const std::uint32_t intensity : {0u, 16u, 64u, 128u}) {
+    for (const bool isolation : {false, true}) {
+      tenant::MultiTenantConfig mc;
+      mc.repetitions = solo.repetitions;
+      mc.base_seed = solo.base_seed;
+      mc.threads = solo.threads;
+      mc.quota = isolation;
+      victim.slo = isolation;
+      mc.tenants.push_back(victim);
+      if (intensity > 0) {
+        tenant::TenantSpec storm;
+        storm.name = "storm";
+        storm.kind = tenant::TenantKind::kNoise;
+        storm.nodes = 1;
+        storm.noise.intensity = intensity;
+        mc.tenants.push_back(storm);
+      }
+
+      const tenant::MultiTenantResult r = tenant::run_multi_tenant(mc);
+      const EnsembleResult& v = r.tenants[0].result;
+      const auto n = [&](const char* counter) {
+        return static_cast<unsigned long long>(v.counters.get(counter));
+      };
+      cells.push_back(
+          {intensity, isolation, v.cons_fetch_us.quantile(0.99),
+           v.makespan_s.mean(),
+           r.tenants.size() > 1
+               ? r.tenants[1].result.counters.get("noise_sheds")
+               : 0,
+           n("quota_kvs_sheds") + n("quota_mds_sheds") + n("quota_ost_sheds"),
+           n("slo_escalations"), n("slo_staggered_frames"),
+           n("slo_fallback_frames")});
+      ok &= gate(run, n("frames_consumed") == expected,
+                 "victim incomplete at intensity=" + std::to_string(intensity) +
+                     " isolation=" + (isolation ? "1" : "0"));
+    }
+  }
+
+  std::printf(
+      "\nintensity,isolation,victim_p99_us,victim_makespan_s,noise_sheds,"
+      "quota_sheds,slo_escalations,slo_staggered,slo_fallback\n");
+  for (const Cell& c : cells) {
+    std::printf("%u,%s,%.6f,%.9f,%llu,%llu,%llu,%llu,%llu\n", c.intensity,
+                c.isolation ? "on" : "off", c.p99_us, c.makespan_s,
+                c.noise_sheds, c.quota_sheds, c.slo_escalations,
+                c.slo_staggered, c.slo_fallback);
+  }
+  for (const Cell& c : cells) {
+    std::printf("cotenant: intensity=%u isolation=%s victim_p99_us=%.3f "
+                "victim_makespan_s=%.6f noise_sheds=%llu quota_sheds=%llu "
+                "slo_escalations=%llu slo_staggered=%llu "
+                "slo_fallback=%llu\n",
+                c.intensity, c.isolation ? "on" : "off", c.p99_us,
+                c.makespan_s, c.noise_sheds, c.quota_sheds,
+                c.slo_escalations, c.slo_staggered, c.slo_fallback);
+  }
+
+  // Solo contract: the intensity-0, isolation-off cell must reproduce the
+  // classic run exactly (same makespan to the bit) — that IS the solo
+  // overhead figure, measured in simulated time rather than noisy wall ms.
+  const double classic_makespan = run.at(classic.label).makespan_s.mean();
+  const double solo_makespan = cells.front().makespan_s;
+  const double solo_overhead_pct =
+      classic_makespan > 0.0
+          ? (solo_makespan / classic_makespan - 1.0) * 100.0
+          : 0.0;
+  // Headline: the improvement factor under the heaviest storm, whose
+  // off/on cells close the grid.
+  const Cell& worst_off = cells[cells.size() - 2];
+  const Cell& worst_on = cells.back();
+  const double improvement =
+      worst_on.p99_us > 0.0 ? worst_off.p99_us / worst_on.p99_us : 1.0;
+  std::printf("cotenant_sweep: cells=%zu solo_makespan_classic=%.9f "
+              "solo_makespan_cotenant=%.9f solo_overhead_pct=%.4f "
+              "worst_intensity=%u p99_off=%.3f p99_on=%.3f "
+              "improvement=%.3f\n",
+              cells.size(), classic_makespan, solo_makespan,
+              solo_overhead_pct, worst_on.intensity, worst_off.p99_us,
+              worst_on.p99_us, improvement);
+
+  // Gates: the isolation machinery must at least halve the victim's fetch
+  // P99 under the heaviest storm, and a solo tenant must pay <= 2% (it
+  // actually pays exactly 0: the solo path IS the classic runner).
+  ok &= gate(run, improvement >= 2.0,
+             "improvement " + format_double(improvement, 3) + "x < 2x");
+  ok &= gate(run, std::fabs(solo_overhead_pct) <= 2.0,
+             "solo overhead " + format_double(solo_overhead_pct, 4) +
+                 "% > 2%");
+  return ok;
+}
+
+// Membership frontier sweep: MTTR vs detection latency for the declare-dead
+// policy under permanent node loss.
+//
+// The grid sweeps the declare policy's silence ceiling (the phi-confirm
+// window scales as a quarter of it) for a DYAD ensemble, against two fault
+// scenarios.  Under `node-loss` (a node really dies) an eager policy wins:
+// detection latency IS dead time, so MTTR falls with the ceiling.  Under
+// `heal-after-declare` (a 1.2 s one-way partition, the node is fine) an
+// eager policy fires a spurious declare — terminal by design, so the
+// healthy node is fenced and its ranks migrate for nothing — while a
+// conservative one (confirm window past the partition length) rides it
+// out and pays nothing.  That tension is the frontier; every point still
+// finishes with zero data loss, the policies just pay different MTTR.
+//
+// The report prints the CSV (no wall-clock, byte-identical at any thread
+// count), one "frontier:" line per (ceiling, scenario) point and a summary
+// line.  Gates: every faulted point delivers the full frame set, leaving
+// the plane enabled costs at most 2% without faults, every spurious
+// declare fences a zombie publish (stale_rejects > 0), and the sweep
+// brackets the spurious-declare crossover (some heal-after-declare point
+// declares, some rides the partition out).
+
+constexpr int kCeilingsMs[] = {60, 120, 250, 500, 1000, 8000};
+constexpr const char* kLossScenarios[] = {"node-loss", "heal-after-declare"};
+
+// A 2-pair DYAD ensemble on 2 nodes under `faults`.
+EnsembleConfig membership_config(const std::string& faults) {
+  return bind({{"solution", "dyad"}, {"pairs", "2"}, {"frames", "8"},
+               {"reps", "2"}, {"faults", faults}});
+}
+
+std::string ceiling_label(int ceiling_ms, const char* scenario) {
+  return "ceiling" + std::to_string(ceiling_ms) + "/" + scenario;
+}
+
+std::vector<Case> membership_cases() {
+  std::vector<Case> cases;
+  // Two no-fault baselines lead the grid: plane off (the reference
+  // makespan) and plane on (its price: heartbeats + declare scans).
+  for (const bool on : {false, true}) {
+    Case c{std::string("baseline/") + (on ? "on" : "off"),
+           membership_config("none")};
+    c.config.testbed.membership.enabled = on;
+    cases.push_back(std::move(c));
+  }
+  for (const int ceiling_ms : kCeilingsMs) {
+    for (const char* scenario : kLossScenarios) {
+      Case c{ceiling_label(ceiling_ms, scenario), membership_config(scenario)};
+      auto& membership = c.config.testbed.membership;
+      membership.enabled = true;
+      membership.declare.silence_ceiling = Duration::milliseconds(ceiling_ms);
+      // The phi-confirm path stays proportionally eager: a quarter of the
+      // ceiling, floored at one heartbeat period.  Past ~5 s the confirm
+      // window exceeds the heal-after-declare partition (1.2 s) and the
+      // policy rides the transient out instead of declaring.
+      membership.declare.confirm_window =
+          Duration::milliseconds(std::max(ceiling_ms / 4, 10));
+      cases.push_back(std::move(c));
+    }
+  }
+  return cases;
+}
+
+bool membership_report(const Run& run) {
+  const EnsembleResult& off = run.at("baseline/off");
+  const EnsembleResult& on = run.at("baseline/on");
+  const double makespan_off = off.makespan_s.mean();
+  const double makespan_on = on.makespan_s.mean();
+  const double overhead_pct =
+      makespan_off > 0.0
+          ? 100.0 * (makespan_on - makespan_off) / makespan_off
+          : 0.0;
+  std::printf(
+      "\nceiling_ms,scenario,declares,detect_ms,migrations,stale_rejects,"
+      "frames_lost,frames_consumed,crash_recoveries,makespan_s,mttr_s\n"
+      "0,none-off,0,0.0,0,0,0,%llu,0,%.4f,0.0\n"
+      "0,none-on,0,0.0,0,0,0,%llu,0,%.4f,0.0\n",
+      static_cast<unsigned long long>(off.counters.get("frames_consumed")),
+      makespan_off,
+      static_cast<unsigned long long>(on.counters.get("frames_consumed")),
+      makespan_on);
+
+  bool all_delivered = true;
+  bool spurious_declare = false;  // some heal-after-declare point declared
+  bool rode_out = false;          // ... and some did not
+  bool unfenced = false;  // a spurious declare without a stale reject
+  std::string frontier;
+  for (const int ceiling_ms : kCeilingsMs) {
+    for (const char* scenario : kLossScenarios) {
+      const EnsembleResult& r = run.at(ceiling_label(ceiling_ms, scenario));
+      const auto n = [&](const char* counter) {
+        return static_cast<unsigned long long>(r.counters.get(counter));
+      };
+      const auto declares = n("membership_declares");
+      const double detect_ms =
+          declares > 0 ? static_cast<double>(n("declare_latency_us")) /
+                             (1000.0 * static_cast<double>(declares))
+                       : 0.0;
+      const auto lost = n("frames_lost");
+      const double makespan = r.makespan_s.mean();
+      // MTTR proxy: the makespan the loss-plus-recovery added on top of
+      // the plane-on fault-free run.
+      const double mttr = makespan - makespan_on;
+      all_delivered = all_delivered && lost == 0;
+      if (std::string_view(scenario) == "heal-after-declare") {
+        (declares > 0 ? spurious_declare : rode_out) = true;
+        unfenced = unfenced || (declares > 0 && n("stale_epoch_rejects") == 0);
+      }
+      std::printf("%d,%s,%llu,%.1f,%llu,%llu,%llu,%llu,%llu,%.4f,%.4f\n",
+                  ceiling_ms, scenario, declares, detect_ms,
+                  n("rank_migrations"), n("stale_epoch_rejects"), lost,
+                  n("frames_consumed"), n("crash_recoveries"), makespan, mttr);
+      char line[320];
+      std::snprintf(line, sizeof(line),
+                    "frontier: ceiling_ms=%d scenario=%s detect_ms=%.1f "
+                    "mttr_s=%.4f declares=%llu migrations=%llu "
+                    "stale_rejects=%llu frames_lost=%llu\n",
+                    ceiling_ms, scenario, detect_ms, mttr, declares,
+                    n("rank_migrations"), n("stale_epoch_rejects"), lost);
+      frontier += line;
+    }
+  }
+  std::printf(
+      "%smembership_sweep: points=%zu errors=%zu overhead_pct=%.3f "
+      "all_delivered=%d sim_events=%llu\n",
+      frontier.c_str(), run.sweep.points.size(), run.sweep.errors,
+      overhead_pct, all_delivered ? 1 : 0,
+      static_cast<unsigned long long>(run.sweep.total_sim_events));
+
+  // Gates: zero data loss everywhere, the idle plane must cost <= 2%, a
+  // spurious declare must fence the zombie's publishes, and the ceiling
+  // sweep must bracket the spurious-declare crossover.
+  bool ok = gate(run, all_delivered, "a faulted point lost frames");
+  ok &= gate(run, std::fabs(overhead_pct) <= 2.0,
+             "idle membership plane costs more than 2%");
+  ok &= gate(run, !unfenced, "a spurious declare fenced no zombie publish");
+  ok &= gate(run, spurious_declare && rode_out,
+             "ceiling sweep no longer brackets the spurious-declare "
+             "crossover");
+  return ok;
+}
+
+// Gray-failure mitigation: DYAD consumer fetch P99 under fail-slow faults
+// with the health plane and hedged reads off vs on.
+//
+// `overload` (a 100x-overloaded KVS broker) and `slow-disk` (fail-slow
+// NVMe) never raise an error — every operation succeeds, just slowly — so
+// the recovery protocol never notices.  health=1 arms phi-accrual failure
+// detection, a circuit breaker that routes lookups around the sick broker
+// to the Lustre replica, and bounded admission queues; hedge=1 races slow
+// cold fetches against a delayed replica read.  The no-fault pair prices
+// leaving both enabled (detection only: without faults there is nothing
+// to fail over from).  The report records numbers only; it has no gate.
+
+constexpr const char* kGrayScenarios[] = {"none", "overload", "slow-disk"};
+
+std::string health_label(const std::string& faults, bool mitigated) {
+  return faults + (mitigated ? "/on" : "/off");
+}
+
+std::vector<Case> health_cases() {
+  std::vector<Case> cases;
+  for (const char* faults : kGrayScenarios) {
+    for (const bool mitigated : {false, true}) {
+      const std::string on = mitigated ? "1" : "0";
+      cases.push_back({health_label(faults, mitigated),
+                       bind({{"solution", "dyad"}, {"pairs", "4"},
+                             {"nodes", "2"}, {"frames", "32"}, {"reps", "2"},
+                             {"seed", "7"}, {"faults", faults},
+                             {"health", on}, {"hedge", on}})});
+    }
+  }
+  return cases;
+}
+
+void health_report(const Run& run) {
+  const EnsembleConfig& c = run.cases.front().config;
+  std::printf(
+      "\nGray-failure mitigation: DYAD, health+hedge off vs on (%u pairs, "
+      "%u nodes, %llu frames, %u reps, seed %llu)\n",
+      c.pairs, c.nodes, static_cast<unsigned long long>(c.workload.frames),
+      c.repetitions, static_cast<unsigned long long>(c.base_seed));
+  TextTable t({"scenario", "fetch P99 off (us)", "fetch P99 on (us)",
+               "speedup", "makespan off (s)", "makespan on (s)", "hedges",
+               "hedge wins", "hedge cancels", "breaker trips",
+               "frames consumed off/on"});
+  for (const std::string faults : {"overload", "slow-disk"}) {
+    const EnsembleResult& off = run.at(health_label(faults, false));
+    const EnsembleResult& on = run.at(health_label(faults, true));
+    const double p99_off = off.cons_fetch_us.quantile(0.99);
+    const double p99_on = on.cons_fetch_us.quantile(0.99);
+    const auto n = [&](const char* counter) {
+      return std::to_string(on.counters.get(counter));
+    };
+    t.add_row({faults, format_double(p99_off, 3), format_double(p99_on, 3),
+               format_ratio(safe_ratio(p99_off, p99_on), 2),
+               format_double(off.makespan_s.mean(), 4),
+               format_double(on.makespan_s.mean(), 4), n("dyad_hedges"),
+               n("dyad_hedge_wins"), n("dyad_hedge_cancels"),
+               n("dyad_breaker_trips"),
+               std::to_string(off.counters.get("frames_consumed")) + "/" +
+                   n("frames_consumed")});
+  }
+  const double base = run.at(health_label("none", false)).makespan_s.mean();
+  const double armed = run.at(health_label("none", true)).makespan_s.mean();
+  std::printf("%sno-fault makespan: health off %s s, on %s s (%s%% "
+              "overhead)\n",
+              t.render().c_str(), format_double(base, 4).c_str(),
+              format_double(armed, 4).c_str(),
+              pct_over(armed, base, 3).c_str());
+}
+
 struct Figure {
   std::string_view name;
   std::vector<Case> (*cases)();
-  void (*report)(const Run&);
+  // Prints the report; false when one of its gates failed.
+  bool (*report)(const Run&);
 };
 
+// A report that records numbers only and has no gate.
+template <void (*Print)(const Run&)>
+bool ungated(const Run& run) {
+  Print(run);
+  return true;
+}
+
 const Figure kFigures[] = {
-    {"table1_models", [] { return std::vector<Case>{}; }, table1_report},
-    {"table2_strides", table2_cases, table2_report},
-    {"fig5_single_node", fig5_cases, fig5_report},
-    {"fig6_two_node", fig6_cases, fig6_report},
-    {"fig7_multi_node", fig7_cases, fig7_report},
-    {"fig8_model_scaling", fig8_cases, fig8_report},
-    {"fig9_dyad_calltree", fig9_cases, fig9_report},
-    {"fig10_lustre_calltree", fig10_cases, fig10_report},
-    {"fig11_freq_jac", fig11_cases, fig11_report},
-    {"fig12_freq_stmv", fig12_cases, fig12_report},
-    {"ablation_sync", ablation_sync_cases, ablation_sync_report},
-    {"ablation_storage", ablation_storage_cases, ablation_storage_report},
+    {"table1_models", [] { return std::vector<Case>{}; },
+     ungated<table1_report>},
+    {"table2_strides", table2_cases, ungated<table2_report>},
+    {"fig5_single_node", fig5_cases, ungated<fig5_report>},
+    {"fig6_two_node", fig6_cases, ungated<fig6_report>},
+    {"fig7_multi_node", fig7_cases, ungated<fig7_report>},
+    {"fig8_model_scaling", fig8_cases, ungated<fig8_report>},
+    {"fig9_dyad_calltree", fig9_cases, ungated<fig9_report>},
+    {"fig10_lustre_calltree", fig10_cases, ungated<fig10_report>},
+    {"fig11_freq_jac", fig11_cases, ungated<fig11_report>},
+    {"fig12_freq_stmv", fig12_cases, ungated<fig12_report>},
+    {"ablation_sync", ablation_sync_cases, ungated<ablation_sync_report>},
+    {"ablation_storage", ablation_storage_cases,
+     ungated<ablation_storage_report>},
     {"ablation_placement", ablation_placement_cases,
-     ablation_placement_report},
+     ungated<ablation_placement_report>},
     {"ablation_reduction", ablation_reduction_cases,
-     ablation_reduction_report},
-    {"resilience_sweep", resilience_cases, resilience_report},
+     ungated<ablation_reduction_report>},
+    {"resilience_sweep", resilience_cases, ungated<resilience_report>},
+    {"scale_sweep", scale_cases, ungated<scale_report>},
+    {"solution_frontier", frontier_cases, frontier_report},
+    {"cotenant_sweep", cotenant_cases, cotenant_report},
+    {"membership_sweep", membership_cases, membership_report},
+    {"health_mitigation", health_cases, ungated<health_report>},
 };
 
 // `key=value` tokens override every case's ensemble config.  A figure
@@ -1032,21 +1644,31 @@ void maybe_export_csv(const std::string& label, const EnsembleResult& result) {
   out << result.thicket.filter("role", "consumer").aggregate().to_csv();
 }
 
-// Runs every case on the parallel replica runner (`threads=` workers,
-// byte-identical aggregates for every thread count), printing each case's
-// means as it finishes.
-void run_cases(Run& run) {
-  for (const auto& c : run.cases) {
-    auto result = sweep::run_ensemble(c.config);
+// Runs the figure's cases as one sweep on the parallel replica runner (each
+// (case, repetition) on one of the `threads=` workers, byte-identical
+// results for every thread count) and prints each case's means.  False,
+// after naming the case on stderr, when one failed.
+bool run_cases(Run& run) {
+  if (run.cases.empty()) return true;
+  // Every case carries the same figure-wide threads= binding.
+  run.sweep = sweep::run_sweep(run.cases, run.cases.front().config.threads);
+  for (const auto& p : run.sweep.points) {
+    if (p.failed()) {
+      std::fprintf(stderr, "figures: %s: case '%s' failed: %s\n",
+                   std::string(run.name).c_str(), p.label.c_str(),
+                   p.error_text.c_str());
+      return false;
+    }
+    const EnsembleResult& r = p.result;
     std::printf(
         "%-24s prod_move_us=%.3f prod_idle_us=%.3f cons_move_us=%.3f "
         "cons_idle_us=%.3f makespan_s=%.3f\n",
-        c.label.c_str(), result.prod_movement_us.mean(),
-        result.prod_idle_us.mean(), result.cons_movement_us.mean(),
-        result.cons_idle_us.mean(), result.makespan_s.mean());
-    maybe_export_csv(c.label, result);
-    run.results.insert_or_assign(c.label, std::move(result));
+        p.label.c_str(), r.prod_movement_us.mean(), r.prod_idle_us.mean(),
+        r.cons_movement_us.mean(), r.cons_idle_us.mean(),
+        r.makespan_s.mean());
+    maybe_export_csv(p.label, r);
   }
+  return true;
 }
 
 }  // namespace
@@ -1071,7 +1693,7 @@ int main(int argc, char** argv) {
                    did_you_mean(name, names).c_str());
       return 2;
     }
-    runs.push_back({it, Run{it->cases(), {}}});
+    runs.push_back({it, Run{it->name, it->cases(), {}}});
   }
   // Every case binds before any runs: a bad key fails fast.
   try {
@@ -1081,15 +1703,17 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // A failed case stops the run; a failed gate only sets the exit code.
+  int status = 0;
   for (auto& [figure, run] : runs) {
     try {
-      run_cases(run);
+      if (!run_cases(run)) return 1;
+      if (!figure->report(run)) status = 1;
     } catch (const std::exception& e) {
       std::fprintf(stderr, "figures: %s: %s\n",
                    std::string(figure->name).c_str(), e.what());
       return 1;
     }
-    figure->report(run);
   }
-  return 0;
+  return status;
 }

@@ -1,8 +1,8 @@
 // "Did you mean ...?" suggestions for unknown names.
 //
 // One Levenshtein implementation shared by every fail-fast name check
-// (experiment config keys, fault scenario names, bench.sh suite names)
-// instead of per-module copies.  A suggestion is offered only when the
+// (experiment config keys, fault scenario names, figure names, workload
+// keys) instead of per-module copies.  A suggestion is offered only when the
 // best candidate is within 2 edits — beyond that the hint is noise.
 #pragma once
 

@@ -100,7 +100,7 @@ class MembershipPlane {
   std::uint64_t declares() const { return declares_; }
   std::uint64_t migrations() const { return migrations_; }
   // Sum over declares of (declare instant - last heartbeat heard): the
-  // detection latency the membership_sweep frontier plots.
+  // detection latency the `figures membership_sweep` frontier plots.
   Duration declare_latency() const { return declare_latency_; }
 
  private:

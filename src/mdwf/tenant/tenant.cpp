@@ -1,7 +1,9 @@
 #include "mdwf/tenant/tenant.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -484,38 +486,59 @@ std::vector<std::string> split(const std::string& s, char sep) {
   }
 }
 
+ConfigError bad_descriptor(const std::string& desc, const std::string& why) {
+  return ConfigError("bad tenant descriptor '" + desc + "': " + why);
+}
+
 Solution parse_solution_token(const std::string& tok,
                               const std::string& desc) {
   try {
     return workflow::parse_solution(tok);
   } catch (const ConfigError& e) {
-    throw ConfigError("bad tenant descriptor '" + desc + "': " + e.what());
+    throw bad_descriptor(desc, e.what());
   }
 }
 
-std::uint64_t parse_uint_token(const std::string& tok,
-                               const std::string& desc) {
+// A count field bound to a uint32: `what` names it in the diagnostic, and
+// values below `min` or above 4294967295 are rejected rather than wrapped.
+std::uint32_t parse_u32_token(const std::string& tok, const std::string& desc,
+                              const char* what, std::uint64_t min) {
+  std::uint64_t v = 0;
   try {
     std::size_t used = 0;
-    const unsigned long long v = std::stoull(tok, &used);
+    v = std::stoull(tok, &used);
     if (used != tok.size()) throw std::invalid_argument(tok);
-    return v;
   } catch (const std::exception&) {
-    throw ConfigError("bad tenant descriptor '" + desc + "': '" + tok +
-                      "' is not a number");
+    throw bad_descriptor(desc, "'" + tok + "' is not a number");
   }
+  if (v < min) {
+    throw bad_descriptor(desc, std::string(what) + " must be >= " +
+                                   std::to_string(min) + ", got " +
+                                   std::to_string(v));
+  }
+  if (v > std::numeric_limits<std::uint32_t>::max()) {
+    throw bad_descriptor(desc, std::string(what) +
+                                   " must be at most 4294967295, got " +
+                                   std::to_string(v));
+  }
+  return static_cast<std::uint32_t>(v);
 }
 
-double parse_double_token(const std::string& tok, const std::string& desc) {
+// A fair-share weight: finite and > 0.
+double parse_weight_token(const std::string& tok, const std::string& desc) {
+  double v = 0.0;
   try {
     std::size_t used = 0;
-    const double v = std::stod(tok, &used);
+    v = std::stod(tok, &used);
     if (used != tok.size()) throw std::invalid_argument(tok);
-    return v;
   } catch (const std::exception&) {
-    throw ConfigError("bad tenant descriptor '" + desc + "': '" + tok +
-                      "' is not a number");
+    throw bad_descriptor(desc, "'" + tok + "' is not a number");
   }
+  if (!std::isfinite(v)) {
+    throw bad_descriptor(desc, "weight '" + tok + "' is not a finite number");
+  }
+  if (v <= 0.0) throw bad_descriptor(desc, "weight must be > 0");
+  return v;
 }
 
 }  // namespace
@@ -528,6 +551,10 @@ MultiTenantConfig parse_multi_tenant(const KeyValueConfig& cfg,
   const bool slo = cfg.get_bool("slo", false);
   const double slo_target =
       cfg.get_double("slo_target_us", SloParams{}.fetch_p99_target_us);
+  if (slo_target <= 0.0) {
+    throw ConfigError("slo_target_us must be > 0, got " +
+                      cfg.get_string("slo_target_us", ""));
+  }
   const bool quota = cfg.get_bool("quota", true);
 
   // Classic experiment keys (model, frames, reps, seed, threads, health,
@@ -571,52 +598,52 @@ MultiTenantConfig parse_multi_tenant(const KeyValueConfig& cfg,
       t.name = body.substr(0, at);
       body = body.substr(at + 1);
       if (t.name.empty()) {
-        throw ConfigError("bad tenant descriptor '" + desc +
-                          "': empty name before '@'");
+        throw bad_descriptor(desc, "empty name before '@'");
       }
     }
     const std::vector<std::string> fields = split(body, '/');
     if (fields.front().empty()) {
-      throw ConfigError("bad tenant descriptor '" + desc +
-                        "': missing solution");
+      throw bad_descriptor(desc, "missing solution");
     }
     if (fields.front() == "noise") {
       t.kind = TenantKind::kNoise;
       t.nodes = 1;
       if (fields.size() > 3) {
-        throw ConfigError("bad tenant descriptor '" + desc +
-                          "': noise takes at most [intensity[/weight]]");
+        throw bad_descriptor(desc,
+                             "noise takes at most [intensity[/weight]]");
       }
       if (fields.size() >= 2) {
-        t.noise.intensity =
-            static_cast<std::uint32_t>(parse_uint_token(fields[1], desc));
+        t.noise.intensity = parse_u32_token(fields[1], desc, "intensity", 0);
       }
-      if (fields.size() >= 3) t.weight = parse_double_token(fields[2], desc);
+      if (fields.size() >= 3) t.weight = parse_weight_token(fields[2], desc);
     } else {
       t.solution = parse_solution_token(fields.front(), desc);
       t.pairs = base.pairs;
       t.nodes = t.solution == Solution::kXfs ? 1 : base.nodes;
       if (fields.size() > 5) {
-        throw ConfigError(
-            "bad tenant descriptor '" + desc +
-            "': expected solution[/pairs[/nodes[/faults[/weight]]]]");
+        throw bad_descriptor(
+            desc, "expected solution[/pairs[/nodes[/faults[/weight]]]]");
       }
       if (fields.size() >= 2) {
-        t.pairs = static_cast<std::uint32_t>(parse_uint_token(fields[1], desc));
+        t.pairs = parse_u32_token(fields[1], desc, "pairs", 1);
       }
       if (fields.size() >= 3) {
-        t.nodes = static_cast<std::uint32_t>(parse_uint_token(fields[2], desc));
+        t.nodes = parse_u32_token(fields[2], desc, "nodes", 1);
       }
       if (fields.size() >= 4 && !fields[3].empty()) t.faults = fields[3];
-      if (fields.size() >= 5) t.weight = parse_double_token(fields[4], desc);
+      if (fields.size() >= 5) t.weight = parse_weight_token(fields[4], desc);
       // XFS cannot move data between nodes: colocated by construction.
       if (t.solution == Solution::kXfs) t.placement = Placement::kColocated;
+      // The classic binding's placement rule (a single node is colocated).
+      if (t.placement == Placement::kSplit && t.nodes % 2 != 0 &&
+          t.nodes != 1) {
+        throw bad_descriptor(
+            desc, "nodes=" + std::to_string(t.nodes) +
+                      ": a split placement needs an even node count; use "
+                      "colocate=1 to place each pair on one node");
+      }
       t.slo = slo;
       t.slo_params = sp;
-    }
-    if (t.weight <= 0.0) {
-      throw ConfigError("bad tenant descriptor '" + desc +
-                        "': weight must be > 0");
     }
     if (t.name.empty()) t.name = "t" + std::to_string(index);
     mc.tenants.push_back(std::move(t));

@@ -1,5 +1,6 @@
 #include "mdwf/workflow/config.hpp"
 
+#include <cstdio>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -67,6 +68,26 @@ void require_positive(std::string_view key, std::uint64_t v) {
   if (v == 0) throw ConfigError(std::string(key) + " must be >= 1, got 0");
 }
 
+// The longest simulated time one frame's MD or analytics step, or one DAG
+// task, may take.  The paper's frame periods are all under 1 s; the cap
+// keeps every derived delay far inside the int64-nanosecond clock.
+constexpr double kMaxStepSeconds = 1e6;
+
+std::string shortest(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%g", v);
+  return buf;
+}
+
+// The error for `setting` ("key=value") making `what` take `seconds` of
+// simulated time, over the cap.
+ConfigError too_long(const std::string& setting, const std::string& what,
+                     double seconds) {
+  return ConfigError(setting + ": " + what + " would take " +
+                     shortest(seconds) +
+                     " simulated seconds; the limit is 1e+06");
+}
+
 }  // namespace
 
 EnsembleConfig parse_ensemble_config(const KeyValueConfig& cfg,
@@ -102,6 +123,11 @@ EnsembleConfig parse_ensemble_config(const KeyValueConfig& cfg,
   require_positive("frames", config.workload.frames);
   config.workload.step_jitter_sigma =
       cfg.get_double("jitter", defaults.workload.step_jitter_sigma);
+  if (config.workload.step_jitter_sigma < 0.0 ||
+      config.workload.step_jitter_sigma > 1.0) {
+    throw ConfigError("jitter must be in [0, 1], got " +
+                      shortest(config.workload.step_jitter_sigma));
+  }
   // Consumer analytics time as a multiple of the frame period; >1 models
   // in-situ analysis that falls behind production.
   config.workload.analytics_scale =
@@ -109,6 +135,17 @@ EnsembleConfig parse_ensemble_config(const KeyValueConfig& cfg,
   if (config.workload.analytics_scale <= 0.0) {
     throw ConfigError("analytics must be > 0, got " +
                       std::to_string(config.workload.analytics_scale));
+  }
+  const double frame_md_s = static_cast<double>(config.workload.stride) /
+                            config.workload.model.steps_per_second;
+  if (frame_md_s > kMaxStepSeconds) {
+    throw too_long("stride=" + std::to_string(config.workload.stride),
+                   "one frame's MD", frame_md_s);
+  }
+  if (frame_md_s * config.workload.analytics_scale > kMaxStepSeconds) {
+    throw too_long("analytics=" + shortest(config.workload.analytics_scale),
+                   "one frame's analytics",
+                   frame_md_s * config.workload.analytics_scale);
   }
   config.repetitions = get_u32(cfg, "reps", defaults.repetitions);
   require_positive("reps", config.repetitions);
@@ -249,6 +286,10 @@ EnsembleConfig parse_ensemble_config(const KeyValueConfig& cfg,
         cfg.get_uint("dag_width", wd.synth_width));
     wd.synth_seed = cfg.get_uint("dag_seed", wd.synth_seed);
     wd.synth_runtime_s = cfg.get_double("dag_runtime", wd.synth_runtime_s);
+    if (wd.synth_runtime_s > kMaxStepSeconds) {
+      throw too_long("dag_runtime=" + shortest(wd.synth_runtime_s),
+                     "the median synthetic task", wd.synth_runtime_s);
+    }
     wd.synth_output_bytes =
         cfg.get_double("dag_bytes", wd.synth_output_bytes);
     config.dag = std::make_shared<const wload::Dag>(
@@ -264,6 +305,20 @@ EnsembleConfig parse_ensemble_config(const KeyValueConfig& cfg,
     if (config.dag_runtime_scale <= 0.0) {
       throw ConfigError("dag_scale must be > 0, got " +
                         std::to_string(config.dag_runtime_scale));
+    }
+    for (const auto& task : config.dag->tasks) {
+      const double task_s =
+          task.runtime.to_seconds() * config.dag_runtime_scale;
+      if (task_s > kMaxStepSeconds) {
+        throw too_long("dag_scale=" + shortest(config.dag_runtime_scale),
+                       "task '" + task.id + "'", task_s);
+      }
+      if (task_s * config.workload.analytics_scale > kMaxStepSeconds) {
+        throw too_long(
+            "analytics=" + shortest(config.workload.analytics_scale),
+            "task '" + task.id + "' analytics",
+            task_s * config.workload.analytics_scale);
+      }
     }
   } else {
     for (const std::string_view k : kDagOnlyKeys) {

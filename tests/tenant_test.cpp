@@ -311,12 +311,52 @@ TEST(TenantParse, RejectsMalformedDescriptors) {
   EXPECT_THROW(parse("dyad/2/2/crash:9"), ConfigError);  // beyond slice
   EXPECT_THROW(parse("noise/16/1/9"), ConfigError);      // too many fields
 
+  // Each row once aborted on a runner assertion, wrapped through the
+  // uint32 cast, or ran silently; the diagnostic quotes the descriptor.
+  const struct {
+    const char* tenants;
+    const char* needle;
+  } kCases[] = {
+      {"victim@dyad/0/2", "pairs must be >= 1"},
+      {"victim@dyad/2/0", "nodes must be >= 1"},
+      {"victim@dyad/2/3", "nodes=3: a split placement"},
+      {"victim@dyad/4294967296/2", "pairs must be at most 4294967295"},
+      {"victim@dyad/2/4294967297", "nodes must be at most 4294967295"},
+      {"noise/4294967297", "intensity must be at most 4294967295"},
+      {"a@dyad/2/2/none/nan", "weight 'nan' is not a finite number"},
+      {"noise/8/nan", "weight 'nan' is not a finite number"},
+      {"noise/8/inf", "weight 'inf' is not a finite number"},
+  };
+  for (const auto& c : kCases) {
+    try {
+      parse(c.tenants);
+      ADD_FAILURE() << c.tenants << " must be rejected";
+    } catch (const ConfigError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("bad tenant descriptor '" + std::string(c.tenants) +
+                          "'"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find(c.needle), std::string::npos) << what;
+    }
+  }
+  // A single node is colocated, as in the classic binding.
+  EXPECT_EQ(parse("victim@dyad/2/1").tenants[0].nodes, 1u);
+
   // Global faults= would chaos every tenant ambiguously; each tenant
   // declares its own scenario instead.
   KeyValueConfig cfg;
   cfg.set("tenants", "dyad/2/2");
   cfg.set("faults", "bit-flip");
   EXPECT_THROW(parse_multi_tenant(cfg, d), ConfigError);
+
+  for (const char* target : {"0", "-5"}) {
+    KeyValueConfig slo;
+    slo.set("tenants", "dyad/2/2");
+    slo.set("slo", "1");
+    slo.set("slo_target_us", target);
+    EXPECT_THROW(parse_multi_tenant(slo, d), ConfigError) << target;
+  }
 }
 
 TEST(TenantParse, SuggestsMisspeltSolution) {

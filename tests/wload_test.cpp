@@ -528,6 +528,19 @@ TEST(WloadConfig, OutOfRangeCountsNameTheKey) {
       {{{"analytics", "nan"}}, "key 'analytics': 'nan' is not a finite"},
       {{{"workload", "synth:chain"}, {"dag_scale", "nan"}},
        "key 'dag_scale': 'nan' is not a finite"},
+      // Finite but huge: each once overflowed simulated time and aborted
+      // on a negative delay (or blamed a "negative runtime").
+      {{{"jitter", "1e300"}}, "jitter must be in [0, 1]"},
+      {{{"jitter", "-0.5"}}, "jitter must be in [0, 1]"},
+      {{{"analytics", "1e300"}}, "analytics=1e+300: one frame's analytics"},
+      {{{"stride", "99999999999999999"}},
+       "stride=99999999999999999: one frame's MD"},
+      {{{"workload", "synth:chain"}, {"dag_tasks", "3"},
+        {"dag_scale", "1e300"}},
+       "dag_scale=1e+300: task 't0000'"},
+      {{{"workload", "synth:chain"}, {"dag_tasks", "3"},
+        {"dag_runtime", "1e300"}},
+       "dag_runtime=1e+300: the median synthetic task"},
   };
   for (const auto& c : kCases) {
     EXPECT_ERROR_HAS(error_of([&] { parse_cfg(c.kvs); }), c.needle);
