@@ -47,7 +47,8 @@
 // per-mode tables: schedule draw, invariants, and what shrinking drops.
 //
 // Exit code 0 when every schedule holds, 1 with a reproducer otherwise, 2 on
-// an unknown key or contradictory mode selection.
+// an unknown key, an out-of-range count (schedules must be in [1,
+// 4294967295], threads at most 4294967295) or contradictory mode selection.
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -586,12 +587,14 @@ int main(int argc, char** argv) {
   bool dag = false;
   try {
     cfg.parse_args(argc, argv);
-    opt.schedules = cfg.get_uint("schedules", opt.schedules);
+    opt.schedules = cfg.get_u32("schedules", opt.schedules);
+    if (opt.schedules == 0) {
+      throw ConfigError("schedules must be >= 1, got 0");
+    }
     opt.seed = cfg.get_uint("seed", opt.seed);
     opt.only = cfg.get_int("only", opt.only);
     opt.verbose = cfg.get_bool("verbose", opt.verbose);
-    opt.threads =
-        static_cast<std::uint32_t>(cfg.get_uint("threads", opt.threads));
+    opt.threads = cfg.get_u32("threads", opt.threads);
     cotenant = cfg.get_bool("cotenant", false);
     dag = cfg.get_bool("dag", false);
     cfg.reject_unknown_keys(kKeys);

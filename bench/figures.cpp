@@ -792,9 +792,11 @@ void ablation_placement_report(const Run& run) {
 
 // Ablation: in-situ data reduction (DESIGN.md Sec. 3; paper Sec. II-B).
 //
-// Producers compress frames (quantized-delta codec, ~1.9x at 1e-3
-// precision) before moving them; consumers decompress.  Whether that pays
-// depends on which side is the bottleneck:
+// Producers compress frames before moving them; consumers decompress.  The
+// ~1.9x ratio is assumed for real MD frames, not measured (the codec gives
+// 3.28-3.29x on synthesized Table I frames; see
+// WorkloadConfig::compression_ratio).  Whether that pays depends on which
+// side is the bottleneck:
 //
 //   Lustre + STMV  - movement-bound (network + OST): compression should
 //                    shrink the dominant cost;

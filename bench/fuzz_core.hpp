@@ -32,7 +32,7 @@ struct Mode {
 };
 
 struct Options {
-  std::uint64_t schedules = 60;
+  std::uint32_t schedules = 60;
   std::uint64_t seed = 20260806;
   std::int64_t only = -1;  // >= 0: check (and replay) just this index
   bool verbose = false;

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <limits>
 
 #include "mdwf/common/suggest.hpp"
 
@@ -113,6 +114,16 @@ std::uint64_t KeyValueConfig::get_uint(std::string_view key,
     throw ConfigError("key '" + std::string(key) + "' must be non-negative");
   }
   return static_cast<std::uint64_t>(v);
+}
+
+std::uint32_t KeyValueConfig::get_u32(std::string_view key,
+                                      std::uint32_t fallback) const {
+  const std::uint64_t v = get_uint(key, fallback);
+  if (v > std::numeric_limits<std::uint32_t>::max()) {
+    throw ConfigError(std::string(key) + " must be at most 4294967295, got " +
+                      std::to_string(v));
+  }
+  return static_cast<std::uint32_t>(v);
 }
 
 double KeyValueConfig::get_double(std::string_view key,

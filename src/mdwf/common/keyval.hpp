@@ -41,6 +41,9 @@ class KeyValueConfig {
                          std::string_view fallback) const;
   std::int64_t get_int(std::string_view key, std::int64_t fallback) const;
   std::uint64_t get_uint(std::string_view key, std::uint64_t fallback) const;
+  // get_uint for a count bound to a uint32 field: a wider value is a
+  // ConfigError naming the key, never a silent wrap.
+  std::uint32_t get_u32(std::string_view key, std::uint32_t fallback) const;
   double get_double(std::string_view key, double fallback) const;
   // Accepts 1/0, true/false, yes/no, on/off.
   bool get_bool(std::string_view key, bool fallback) const;

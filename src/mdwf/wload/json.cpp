@@ -28,6 +28,11 @@ const char* kind_name(JsonValue::Kind k) {
 
 class Parser {
  public:
+  // Deepest array/object nesting accepted.  The descent recurses once per
+  // level, so an unbounded depth would overflow the stack; WfCommons
+  // instances nest about 6 deep.
+  static constexpr std::size_t kMaxDepth = 256;
+
   Parser(std::string_view text, std::string_view context)
       : text_(text), context_(context) {}
 
@@ -87,8 +92,17 @@ class Parser {
     skip_ws();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (depth_ == kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth) +
+               " levels");
+        }
+        ++depth_;
+        JsonValue v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return JsonValue::make_string(parse_string());
       case 't': return parse_literal("true", JsonValue::make_bool(true));
       case 'f': return parse_literal("false", JsonValue::make_bool(false));
@@ -243,6 +257,7 @@ class Parser {
   std::string_view text_;
   std::string_view context_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // open arrays/objects around pos_
 };
 
 }  // namespace

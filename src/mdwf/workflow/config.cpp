@@ -1,7 +1,6 @@
 #include "mdwf/workflow/config.hpp"
 
 #include <cstdio>
-#include <limits>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -53,17 +52,6 @@ constexpr std::string_view kDagOnlyKeys[] = {
     "dag_tasks", "dag_width", "dag_seed",  "dag_runtime",
     "dag_bytes", "dag_chunk", "dag_scale"};
 
-// A count key bound to a uint32 field: anything wider would wrap silently.
-std::uint32_t get_u32(const KeyValueConfig& cfg, std::string_view key,
-                      std::uint32_t fallback) {
-  const std::uint64_t v = cfg.get_uint(key, fallback);
-  if (v > std::numeric_limits<std::uint32_t>::max()) {
-    throw ConfigError(std::string(key) + " must be at most 4294967295, got " +
-                      std::to_string(v));
-  }
-  return static_cast<std::uint32_t>(v);
-}
-
 void require_positive(std::string_view key, std::uint64_t v) {
   if (v == 0) throw ConfigError(std::string(key) + " must be >= 1, got 0");
 }
@@ -112,12 +100,12 @@ EnsembleConfig parse_ensemble_config(const KeyValueConfig& cfg,
   config.workload.stride = cfg.get_uint("stride", default_stride);
   require_positive("stride", config.workload.stride);
 
-  config.pairs = get_u32(cfg, "pairs", defaults.pairs);
+  config.pairs = cfg.get_u32("pairs", defaults.pairs);
   require_positive("pairs", config.pairs);
   // XFS cannot move data between nodes, so it defaults to a single one.
   const std::uint32_t default_nodes =
       config.solution == Solution::kXfs ? 1 : defaults.nodes;
-  config.nodes = get_u32(cfg, "nodes", default_nodes);
+  config.nodes = cfg.get_u32("nodes", default_nodes);
   require_positive("nodes", config.nodes);
   config.workload.frames = cfg.get_uint("frames", defaults.workload.frames);
   require_positive("frames", config.workload.frames);
@@ -147,12 +135,12 @@ EnsembleConfig parse_ensemble_config(const KeyValueConfig& cfg,
                    "one frame's analytics",
                    frame_md_s * config.workload.analytics_scale);
   }
-  config.repetitions = get_u32(cfg, "reps", defaults.repetitions);
+  config.repetitions = cfg.get_u32("reps", defaults.repetitions);
   require_positive("reps", config.repetitions);
   config.base_seed = cfg.get_uint("seed", defaults.base_seed);
   // Worker threads for the parallel replica runner (mdwf::sweep); 0 = all
   // hardware threads.  Never affects results, only wall-clock time.
-  config.threads = get_u32(cfg, "threads", defaults.threads);
+  config.threads = cfg.get_u32("threads", defaults.threads);
   config.lustre_interference =
       cfg.get_bool("interference", defaults.lustre_interference);
   config.testbed.dyad.push_mode =
@@ -275,6 +263,17 @@ EnsembleConfig parse_ensemble_config(const KeyValueConfig& cfg,
           "the membership plane (rank migration) does not support DAG "
           "workloads yet; drop membership=1 or workload=");
     }
+    // The node-loss family exercises declare-dead and rank migration,
+    // which DAG runs lack: a permanent loss would end in the deadlock
+    // reporter.
+    if (faults == "node-loss" || faults == "loss-after-publish" ||
+        faults == "heal-after-declare") {
+      throw ConfigError(
+          "scenario '" + faults +
+          "' needs the membership plane, which DAG workloads do not "
+          "support; pick a recoverable scenario (e.g. node-crash, "
+          "broker-outage, bit-flip)");
+    }
     if (cfg.has("tenants")) {
       throw ConfigError(
           "co-tenant runs do not support DAG workloads; drop tenants= or "
@@ -282,8 +281,7 @@ EnsembleConfig parse_ensemble_config(const KeyValueConfig& cfg,
     }
     wload::WorkloadDefaults wd;
     wd.synth_tasks = cfg.get_uint("dag_tasks", wd.synth_tasks);
-    wd.synth_width = static_cast<std::uint32_t>(
-        cfg.get_uint("dag_width", wd.synth_width));
+    wd.synth_width = cfg.get_u32("dag_width", wd.synth_width);
     wd.synth_seed = cfg.get_uint("dag_seed", wd.synth_seed);
     wd.synth_runtime_s = cfg.get_double("dag_runtime", wd.synth_runtime_s);
     if (wd.synth_runtime_s > kMaxStepSeconds) {

@@ -8,10 +8,11 @@
 // cross-key rules (XFS defaults to one node; injected faults turn the DYAD
 // recovery protocol on; bit-flip/crash scenarios turn end-to-end checksums
 // on; crash windows turn per-rank checkpointing on; fault scenarios are
-// materialized against the configured cluster shape), and returns the bound
-// config.  Unknown keys fail fast with a one-line did-you-mean diagnostic;
-// callers with driver-only keys (output, tree, ...) read them before
-// parsing so they are already marked known on `cfg`.
+// materialized against the configured cluster shape; DAG workloads reject
+// the membership plane and the node-loss scenarios that need it), and
+// returns the bound config.  Unknown keys fail fast with a one-line
+// did-you-mean diagnostic; callers with driver-only keys (output, tree, ...)
+// read them before parsing so they are already marked known on `cfg`.
 #pragma once
 
 #include <string_view>

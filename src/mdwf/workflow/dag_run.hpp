@@ -25,7 +25,8 @@
 // idempotent and ExplicitSync marks are level-triggered, so re-execution
 // is safe; RankStats separates distinct progress from re-execution.  The
 // membership plane (rank migration) is not supported with DAG workloads;
-// parse_ensemble_config rejects the combination.
+// parse_ensemble_config rejects the combination and the node-loss
+// scenarios that need it.
 #pragma once
 
 #include <cstdint>

@@ -54,7 +54,12 @@ struct WorkloadConfig {
   // path, not the CPU, is the bottleneck (see bench/figures
   // ablation_reduction).
   bool compress = false;
-  // Calibrated against md::compress_frame on synthetic frames.
+  // Assumed, not measured: the conservative end of md/compress.hpp's
+  // estimate for real MD frames (coordinates shrink to ~40-60% of 24
+  // B/atom, so 28 / (0.6 * 24) ~= 1.9).  The codec itself measures
+  // 3.28-3.29x on the synthesized Table I frames, whose uniform random
+  // coordinates are not real trajectories; calibration_test pins that
+  // this value stays at or below the codec's.
   double compression_ratio = 1.9;
   double compress_bps = 1.2e9;
   double decompress_bps = 1.8e9;

@@ -10,6 +10,8 @@
 //                slower (measured 192 vs 131 us/frame).
 //   * Fig. 6   — two-node DYAD vs Lustre, JAC: DYAD consumer movement 6-8x
 //                faster (paper 6.9x, measured 7.4x).
+//   * Codec    — md::compress_frame on every Table I frame, and the bound
+//                it puts on the ensemble's assumed compression_ratio.
 //
 // The ensembles run fewer repetitions than the bench binaries (3 vs 10) but
 // the full 128 frames, so the per-frame steady-state means match the
@@ -18,6 +20,7 @@
 
 #include <string>
 
+#include "mdwf/md/compress.hpp"
 #include "mdwf/md/frame.hpp"
 #include "mdwf/md/models.hpp"
 #include "mdwf/workflow/ensemble.hpp"
@@ -80,6 +83,23 @@ TEST(CalibrationTest, TableIIFramePeriods) {
   EXPECT_NEAR(md::kApoA1.frame_period_seconds(), 0.82, 0.005);
   EXPECT_NEAR(md::kF1Atpase.frame_period_seconds(), 0.79, 0.005);
   EXPECT_NEAR(md::kStmv.frame_period_seconds(), 0.82, 0.005);
+}
+
+TEST(CalibrationTest, CodecRatioOnTableIFrames) {
+  // At 1e-3 precision the codec measures 3.28-3.29x on every synthesized
+  // Table I frame (uniform coordinates, implicit atom ids).  The ensemble's
+  // compression_ratio is an assumption for real frames, not this
+  // measurement; it may be more conservative than the codec, never less.
+  const double assumed = workflow::WorkloadConfig{}.compression_ratio;
+  for (const auto& model : md::kAllModels) {
+    const md::Frame f = md::synthesize_frame(std::string(model.name),
+                                             model.atoms, /*index=*/0,
+                                             /*seed=*/1);
+    const double ratio = md::compress_frame(f, 1e-3).ratio();
+    EXPECT_GE(ratio, 3.28) << model.name;
+    EXPECT_LE(ratio, 3.29) << model.name;
+    EXPECT_LE(assumed, ratio) << model.name;
+  }
 }
 
 // --- Figure ratio bands ---------------------------------------------------

@@ -1,12 +1,12 @@
-// Unit tests for molecular models, the frame format, the LJ engine, and the
-// in-situ analytics.
+// Unit tests for molecular models, the frame format, and the lossy frame
+// compressor (in-situ data reduction).
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "mdwf/md/analytics.hpp"
+#include "mdwf/common/rng.hpp"
+#include "mdwf/md/compress.hpp"
 #include "mdwf/md/frame.hpp"
-#include "mdwf/md/lj_engine.hpp"
 #include "mdwf/md/models.hpp"
 
 namespace mdwf::md {
@@ -105,139 +105,76 @@ TEST(FrameTest, SynthesisIsDeterministic) {
   EXPECT_NE(a, c);
 }
 
-// --- LJ engine ------------------------------------------------------------------
+// --- Compression -------------------------------------------------------------
 
-LjParams small_params() {
-  LjParams p;
-  p.particle_count = 125;
-  p.density = 0.7;
-  p.dt = 0.004;
-  p.initial_temperature = 0.9;
-  p.seed = 99;
-  return p;
-}
-
-TEST(LjEngineTest, CellListMatchesBruteForce) {
-  LjEngine engine(small_params());
-  engine.step(20);
-  EXPECT_LT(engine.force_error_vs_bruteforce(), 1e-9);
-}
-
-TEST(LjEngineTest, EnergyConservationNve) {
-  LjEngine engine(small_params());
-  engine.step(50);  // settle from the lattice start
-  const double e0 = engine.total_energy();
-  engine.step(500);
-  const double e1 = engine.total_energy();
-  // NVE drift should be a small fraction of the kinetic energy scale.
-  EXPECT_NEAR(e1, e0, 0.02 * std::abs(engine.kinetic_energy()) + 0.05);
-}
-
-TEST(LjEngineTest, MomentumConservation) {
-  LjEngine engine(small_params());
-  engine.step(300);
-  const Vec3 p = engine.total_momentum();
-  EXPECT_NEAR(p.x, 0.0, 1e-8);
-  EXPECT_NEAR(p.y, 0.0, 1e-8);
-  EXPECT_NEAR(p.z, 0.0, 1e-8);
-}
-
-TEST(LjEngineTest, ThermostatDrivesTemperature) {
-  LjParams p = small_params();
-  p.thermostat_tau = 0.05;
-  p.target_temperature = 1.4;
-  p.initial_temperature = 0.7;
-  LjEngine engine(p);
-  engine.step(2000);
-  EXPECT_NEAR(engine.temperature(), 1.4, 0.25);
-}
-
-TEST(LjEngineTest, DeterministicTrajectories) {
-  LjEngine a(small_params());
-  LjEngine b(small_params());
-  a.step(100);
-  b.step(100);
-  EXPECT_EQ(a.positions()[17].x, b.positions()[17].x);
-  EXPECT_EQ(a.total_energy(), b.total_energy());
-}
-
-TEST(LjEngineTest, PositionsStayInBox) {
-  LjEngine engine(small_params());
-  engine.step(500);
-  for (const auto& r : engine.positions()) {
-    EXPECT_GE(r.x, 0.0);
-    EXPECT_LT(r.x, engine.box_edge());
-    EXPECT_GE(r.y, 0.0);
-    EXPECT_LT(r.y, engine.box_edge());
-    EXPECT_GE(r.z, 0.0);
-    EXPECT_LT(r.z, engine.box_edge());
+TEST(CompressTest, RoundTripWithinPrecision) {
+  const Frame f = synthesize_frame("JAC", 5000, 3, 7);
+  const auto c = compress_frame(f, 1e-3);
+  const Frame g = decompress_frame(c.data);
+  ASSERT_EQ(g.atoms.size(), f.atoms.size());
+  EXPECT_EQ(g.index, f.index);
+  EXPECT_EQ(g.model, f.model);
+  for (std::size_t i = 0; i < f.atoms.size(); ++i) {
+    EXPECT_NEAR(g.atoms[i].x, f.atoms[i].x, 5.1e-4);
+    EXPECT_NEAR(g.atoms[i].y, f.atoms[i].y, 5.1e-4);
+    EXPECT_NEAR(g.atoms[i].z, f.atoms[i].z, 5.1e-4);
   }
 }
 
-TEST(LjEngineTest, SnapshotProducesValidFrame) {
-  LjEngine engine(small_params());
-  engine.step(10);
-  const Frame f = engine.snapshot("LJ", 3);
-  EXPECT_EQ(f.atoms.size(), 125u);
-  EXPECT_EQ(f.index, 3u);
-  const Frame g = Frame::deserialize(f.serialize());
-  EXPECT_EQ(f, g);
+TEST(CompressTest, CoarserPrecisionCompressesHarder) {
+  const Frame f = synthesize_frame("X", 20000, 0, 5);
+  const auto fine = compress_frame(f, 1e-4);
+  const auto coarse = compress_frame(f, 1e-2);
+  EXPECT_LT(coarse.compressed_size, fine.compressed_size);
 }
 
-// --- Analytics --------------------------------------------------------------------
-
-TEST(AnalyticsTest, EigenvaluesOfDiagonalMatrix) {
-  const auto ev = eigenvalues_sym3(Sym3{.xx = 3, .yy = 1, .zz = 2});
-  EXPECT_NEAR(ev[0], 3.0, 1e-12);
-  EXPECT_NEAR(ev[1], 2.0, 1e-12);
-  EXPECT_NEAR(ev[2], 1.0, 1e-12);
+TEST(CompressTest, CorruptionDetected) {
+  const Frame f = synthesize_frame("X", 100, 0, 5);
+  auto c = compress_frame(f);
+  c.data[c.data.size() / 2] ^= std::byte{0x40};
+  EXPECT_THROW((void)decompress_frame(c.data), FrameError);
 }
 
-TEST(AnalyticsTest, EigenvaluesOfKnownSymmetricMatrix) {
-  // [[2,1,0],[1,2,0],[0,0,5]] has eigenvalues 5, 3, 1.
-  const auto ev = eigenvalues_sym3(Sym3{.xx = 2, .xy = 1, .yy = 2, .zz = 5});
-  EXPECT_NEAR(ev[0], 5.0, 1e-9);
-  EXPECT_NEAR(ev[1], 3.0, 1e-9);
-  EXPECT_NEAR(ev[2], 1.0, 1e-9);
+TEST(CompressTest, TruncationDetected) {
+  const Frame f = synthesize_frame("X", 100, 0, 5);
+  auto c = compress_frame(f);
+  c.data.resize(c.data.size() - 3);
+  EXPECT_THROW((void)decompress_frame(c.data), FrameError);
 }
 
-TEST(AnalyticsTest, EigenvalueSumEqualsTrace) {
-  const Frame f = synthesize_frame("JAC", 2000, 0, 5);
-  const Sym3 g = gyration_tensor(f);
-  const auto ev = eigenvalues_sym3(g);
-  EXPECT_NEAR(ev[0] + ev[1] + ev[2], g.xx + g.yy + g.zz, 1e-6);
-  EXPECT_GE(ev[0], ev[1]);
-  EXPECT_GE(ev[1], ev[2]);
-  EXPECT_GE(ev[2], -1e-9);  // gyration tensor is PSD
-}
-
-TEST(AnalyticsTest, LinearChainIsHighlyAnisotropic) {
-  Frame f;
-  f.model = "chain";
-  for (int i = 0; i < 100; ++i) {
-    f.atoms.push_back(Atom{static_cast<std::uint32_t>(i),
-                           static_cast<double>(i), 0.0, 0.0});
+TEST(CompressTest, SmoothTrajectoriesCompressBetterThanNoise) {
+  // Lattice-like (spatially sorted) coordinates have small deltas.
+  Frame smooth;
+  smooth.model = "lattice";
+  for (int i = 0; i < 20000; ++i) {
+    smooth.atoms.push_back(Atom{static_cast<std::uint32_t>(i),
+                                0.01 * i, 0.005 * i, 0.0025 * i});
   }
-  const auto a = analyze_frame(f);
-  // All variance along one axis: largest eigenvalue ~= Rg^2.
-  EXPECT_NEAR(a.largest_eigenvalue, a.radius_of_gyration * a.radius_of_gyration,
-              1e-9);
-  EXPECT_GT(a.asphericity, 0.9 * a.largest_eigenvalue);
+  const Frame noisy = synthesize_frame("noise", 20000, 0, 3);
+  const auto cs = compress_frame(smooth, 1e-3);
+  const auto cn = compress_frame(noisy, 1e-3);
+  EXPECT_LT(cs.compressed_size.count(), cn.compressed_size.count() / 2);
 }
 
-TEST(AnalyticsTest, CompactSphereIsNearlyIsotropic) {
-  const Frame f = synthesize_frame("iso", 20000, 0, 3);
-  const auto ev = eigenvalues_sym3(gyration_tensor(f));
-  // Uniform box: eigenvalues within a few percent of each other.
-  EXPECT_LT((ev[0] - ev[2]) / ev[0], 0.05);
+// Parameterized fuzz: random frames always round-trip or fail loudly.
+class CompressFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(CompressFuzz, RandomFramesRoundTrip) {
+  Rng rng(GetParam());
+  const auto atoms = 1 + rng.next_below(3000);
+  const Frame f = synthesize_frame("fuzz", atoms, rng.next_below(100),
+                                   GetParam());
+  const double precision = std::pow(10.0, -1.0 - rng.next_below(4));
+  const auto c = compress_frame(f, precision);
+  const Frame g = decompress_frame(c.data);
+  ASSERT_EQ(g.atoms.size(), f.atoms.size());
+  for (std::size_t i = 0; i < f.atoms.size(); i += 97) {
+    EXPECT_NEAR(g.atoms[i].x, f.atoms[i].x, precision * 0.51);
+  }
 }
 
-TEST(AnalyticsTest, SubrangeSelectsHelix) {
-  Frame f = synthesize_frame("helices", 1000, 0, 9);
-  const Sym3 whole = gyration_tensor(f);
-  const Sym3 first_half = gyration_tensor(f, 0, 500);
-  EXPECT_NE(whole.xx, first_half.xx);
-}
+INSTANTIATE_TEST_SUITE_P(Seeds, CompressFuzz,
+                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55));
 
 }  // namespace
 }  // namespace mdwf::md

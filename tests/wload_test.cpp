@@ -78,6 +78,25 @@ TEST(WloadJson, RejectsUnterminatedString) {
   EXPECT_NE(error_of([] { wload::parse_json(R"({"a": "oops})", "t"); }), "");
 }
 
+TEST(WloadJson, RejectsDeepNesting) {
+  // The descent recurses once per level; unbounded, these overflow the
+  // stack.
+  const std::string arrays(100'000, '[');
+  EXPECT_ERROR_HAS(error_of([&] { wload::parse_json(arrays, "deep.json"); }),
+                   "deep.json: nesting deeper than 256 levels at line 1 "
+                   "column 257");
+  std::string objects;
+  for (int i = 0; i < 30'000; ++i) objects += R"({"a":)";
+  EXPECT_ERROR_HAS(error_of([&] { wload::parse_json(objects, "deep.json"); }),
+                   "nesting deeper than 256 levels at line 1 column 1281");
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_EQ(error_of([&] { wload::parse_json(nested(256), "t"); }), "");
+  EXPECT_ERROR_HAS(error_of([&] { wload::parse_json(nested(257), "t"); }),
+                   "nesting deeper than 256 levels");
+}
+
 TEST(WloadJson, AccessorMismatchNamesTheField) {
   const auto doc = wload::parse_json(R"({"runtime": "fast"})", "t");
   EXPECT_ERROR_HAS(
@@ -481,6 +500,17 @@ TEST(WloadConfig, MembershipConflictsWithWorkload) {
                                 {"membership", "1"}});
                    }),
                    "membership");
+  // Scenarios that need the membership plane, which DAG runs lack: a
+  // permanent loss would end in the deadlock reporter.
+  for (const char* faults :
+       {"node-loss", "loss-after-publish", "heal-after-declare"}) {
+    EXPECT_ERROR_HAS(error_of([&] {
+                       parse_cfg({{"workload", "synth:chain"},
+                                  {"faults", faults}});
+                     }),
+                     std::string("scenario '") + faults +
+                         "' needs the membership plane");
+  }
 }
 
 TEST(WloadConfig, DagKeysRequireAWorkload) {
@@ -519,6 +549,8 @@ TEST(WloadConfig, OutOfRangeCountsNameTheKey) {
       {{{"pairs", "4294967297"}}, "pairs must be at most 4294967295"},
       {{{"nodes", "4294967296"}}, "nodes must be at most 4294967295"},
       {{{"threads", "4294967296"}}, "threads must be at most 4294967295"},
+      {{{"workload", "synth:fork-join"}, {"dag_width", "4294967297"}},
+       "dag_width must be at most 4294967295"},
       {{{"nodes", "3"}, {"pairs", "2"}}, "nodes=3: a split placement"},
       {{{"solution", "xfs"}, {"nodes", "2"}}, "nodes=2: XFS cannot move"},
       {{{"workload", "synth:chain"}, {"nodes", "0"}}, "nodes must be >= 1"},

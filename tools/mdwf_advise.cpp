@@ -32,6 +32,12 @@
 //                                               human table to stdout;
 //                                               default: CSV to stdout)
 //
+// Each (workload, scenario, solution) cell is bound by
+// parse_ensemble_config from the keys mdwf_run would get for that run:
+// solution=, workload=, faults= (unless the scenario is none) and the keys
+// from nodes to dag_scale above, nodes left out for xfs.  A value mdwf_run
+// rejects is rejected here with the same message.
+//
 // CSV schema (one row per workload x scenario, input order):
 //   workflow,scenario,tasks,edge_frames,recommendation,fetch_p99_us,
 //   makespan_s,runner_up,runner_up_p99_us,margin_pct,confidence
@@ -47,13 +53,13 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "mdwf/common/format.hpp"
 #include "mdwf/common/keyval.hpp"
-#include "mdwf/common/suggest.hpp"
 #include "mdwf/common/table.hpp"
-#include "mdwf/fault/plan.hpp"
 #include "mdwf/sweep/sweep.hpp"
 #include "mdwf/wload/wload.hpp"
 #include "mdwf/workflow/config.hpp"
@@ -85,14 +91,6 @@ std::vector<std::string> split_list(const std::string& text) {
   }
   return out;
 }
-
-// One candidate run: a (workload, scenario, solution) cell plus the
-// resolved DAG (shared across the workload's cells — parsed once).
-struct Cell {
-  std::size_t workload = 0;
-  std::size_t scenario = 0;
-  std::size_t solution = 0;
-};
 
 struct Recommendation {
   std::string workflow;
@@ -140,54 +138,17 @@ int main(int argc, char** argv) {
           solution_names[0] + "'");
     }
 
-    std::vector<workflow::Solution> solutions;
-    for (const auto& name : solution_names) {
-      solutions.push_back(workflow::parse_solution(name));
-    }
-    for (const auto& s : scenarios) {
-      // Validate scenario names up front (and reject the node-loss family:
-      // recovery from a *permanent* loss needs the membership plane, which
-      // DAG runs do not support — such a sweep cell would never complete).
-      if (s == "none") continue;
-      const auto& known = fault::scenario_names();
-      if (std::find(known.begin(), known.end(), s) == known.end()) {
-        throw ConfigError("unknown scenario '" + s + "'" +
-                          did_you_mean(s, known));
-      }
-      if (s == "node-loss" || s == "loss-after-publish" ||
-          s == "heal-after-declare") {
-        throw ConfigError(
-            "scenario '" + s +
-            "' needs the membership plane, which DAG workloads do not "
-            "support; pick a recoverable scenario (e.g. node-crash, "
-            "broker-outage, bit-flip)");
-      }
-    }
-
-    const std::uint32_t nodes =
-        static_cast<std::uint32_t>(cfg.get_uint("nodes", 2));
-    const std::uint32_t reps =
-        static_cast<std::uint32_t>(cfg.get_uint("reps", 3));
-    const std::uint64_t seed = cfg.get_uint("seed", 1);
-    const std::uint32_t threads =
-        static_cast<std::uint32_t>(cfg.get_uint("threads", 1));
     const std::string out_path = cfg.get_string("out", "");
 
-    wload::WorkloadDefaults wd;
-    wd.synth_tasks = cfg.get_uint("dag_tasks", wd.synth_tasks);
-    wd.synth_width =
-        static_cast<std::uint32_t>(cfg.get_uint("dag_width", wd.synth_width));
-    wd.synth_seed = cfg.get_uint("dag_seed", wd.synth_seed);
-    wd.synth_runtime_s = cfg.get_double("dag_runtime", wd.synth_runtime_s);
-    wd.synth_output_bytes = cfg.get_double("dag_bytes", wd.synth_output_bytes);
-    const Bytes chunk(cfg.get_uint("dag_chunk", Bytes::mib(32).count()));
-    if (chunk.count() == 0) {
-      throw ConfigError("dag_chunk must be a positive byte count");
-    }
-    const double scale = cfg.get_double("dag_scale", 1.0);
-    if (scale <= 0.0) {
-      throw ConfigError("dag_scale must be > 0, got " +
-                        std::to_string(scale));
+    // The run keys every cell hands to parse_ensemble_config, spelled as
+    // mdwf_run would get them; XFS cells keep their one-node default.
+    constexpr std::string_view kRunKeys[] = {
+        "nodes",     "reps",     "seed",        "threads",   "dag_tasks",
+        "dag_width", "dag_seed", "dag_runtime", "dag_bytes", "dag_chunk",
+        "dag_scale"};
+    std::vector<std::pair<std::string_view, std::string>> run_keys;
+    for (const std::string_view k : kRunKeys) {
+      if (cfg.has(k)) run_keys.emplace_back(k, cfg.get_string(k, ""));
     }
 
     constexpr std::string_view kKeys[] = {
@@ -197,55 +158,36 @@ int main(int argc, char** argv) {
         "out"};
     cfg.reject_unknown_keys(kKeys);
 
-    // Parse every workload once; all its sweep cells share the Dag.
-    std::vector<std::shared_ptr<const wload::Dag>> dags;
-    for (const auto& ref : workload_refs) {
-      dags.push_back(
-          std::make_shared<const wload::Dag>(wload::load_workload(ref, wd)));
-    }
+    workflow::EnsembleConfig defaults;
+    defaults.nodes = 2;
+    defaults.repetitions = 3;
+    defaults.threads = 1;
 
     // Grid in canonical (workload, scenario, solution) order: run_sweep
     // merges in this order whatever threads= is, so the CSV is
     // byte-identical for every thread count.
     std::vector<sweep::SweepPoint> grid;
-    std::vector<Cell> cells;
-    for (std::size_t w = 0; w < dags.size(); ++w) {
-      for (std::size_t sc = 0; sc < scenarios.size(); ++sc) {
-        for (std::size_t so = 0; so < solutions.size(); ++so) {
-          workflow::EnsembleConfig config;
-          config.solution = solutions[so];
-          config.nodes =
-              solutions[so] == workflow::Solution::kXfs ? 1 : nodes;
-          config.repetitions = reps;
-          config.base_seed = seed;
-          config.dag = dags[w];
-          config.dag_chunk = chunk;
-          config.dag_runtime_scale = scale;
-          if (scenarios[sc] != "none") {
-            fault::ScenarioShape shape;
-            shape.compute_nodes = config.nodes;
-            shape.ost_count = config.testbed.lustre.ost_count;
-            shape.seed = seed;
-            config.testbed.faults =
-                fault::make_scenario(scenarios[sc], shape);
-            config.testbed.dyad.retry.enabled = true;
-            config.testbed.dyad.retry.lustre_fallback = true;
-            bool flips = false;
-            bool crashes = false;
-            for (const auto& wdw : config.testbed.faults.windows) {
-              flips = flips || wdw.mode == fault::FaultMode::kBitFlip;
-              crashes =
-                  crashes || wdw.target == fault::FaultTarget::kNodeCrash;
-            }
-            config.testbed.integrity.enabled = flips || crashes;
+    for (const auto& ref : workload_refs) {
+      for (const auto& scenario : scenarios) {
+        for (const auto& solution : solution_names) {
+          KeyValueConfig run;
+          run.set("solution", solution);
+          run.set("workload", ref);
+          if (scenario != "none") run.set("faults", scenario);
+          for (const auto& [key, value] : run_keys) {
+            if (key == "nodes" && solution == "xfs") continue;
+            run.set(std::string(key), value);
           }
-          grid.push_back({dags[w]->name + "/" + scenarios[sc] + "/" +
-                              solution_names[so],
-                          std::move(config)});
-          cells.push_back({w, sc, so});
+          workflow::EnsembleConfig config =
+              workflow::parse_ensemble_config(run, defaults);
+          std::string label =
+              config.dag->name + "/" + scenario + "/" + solution;
+          grid.push_back({std::move(label), std::move(config)});
         }
       }
     }
+    const std::uint32_t threads = grid.front().config.threads;
+    const std::uint32_t reps = grid.front().config.repetitions;
 
     const sweep::SweepResult swept = sweep::run_sweep(std::move(grid),
                                                       threads);
@@ -262,8 +204,8 @@ int main(int argc, char** argv) {
     // Rank each (workload, scenario) group by fetch P99, ascending; ties
     // break toward the earlier solutions= entry (stable order).
     std::vector<Recommendation> recs;
-    const std::size_t per_group = solutions.size();
-    for (std::size_t w = 0; w < dags.size(); ++w) {
+    const std::size_t per_group = solution_names.size();
+    for (std::size_t w = 0; w < workload_refs.size(); ++w) {
       for (std::size_t sc = 0; sc < scenarios.size(); ++sc) {
         const std::size_t base = (w * scenarios.size() + sc) * per_group;
         std::vector<std::size_t> order(per_group);
@@ -277,13 +219,15 @@ int main(int argc, char** argv) {
                          });
         const auto& best = swept.points[base + order[0]].result;
         const auto& runner = swept.points[base + order[1]].result;
+        const workflow::EnsembleConfig& config = swept.points[base].config;
 
         Recommendation rec;
-        rec.workflow = dags[w]->name;
+        rec.workflow = config.dag->name;
         rec.scenario = scenarios[sc];
-        rec.tasks = dags[w]->tasks.size();
+        rec.tasks = config.dag->tasks.size();
         rec.edge_frames =
-            workflow::plan_dag(*dags[w], chunk, nodes).total_edge_frames;
+            workflow::plan_dag(*config.dag, config.dag_chunk, config.nodes)
+                .total_edge_frames;
         rec.best = solution_names[order[0]];
         rec.best_p99 = best.cons_fetch_us.quantile(0.99);
         rec.best_makespan = best.makespan_s.mean();
@@ -340,7 +284,8 @@ int main(int argc, char** argv) {
       }
       std::printf("%zu workload(s) x %zu scenario(s) x %zu solution(s), "
                   "%u repetition(s) each\n\n%s\nCSV written to %s\n",
-                  dags.size(), scenarios.size(), solutions.size(), reps,
+                  workload_refs.size(), scenarios.size(),
+                  solution_names.size(), reps,
                   t.render().c_str(), out_path.c_str());
     }
   } catch (const ConfigError& e) {
