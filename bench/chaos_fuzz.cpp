@@ -22,6 +22,9 @@
 //   chaos_fuzz [schedules=60] [seed=20260806] [only=<index>] [verbose=1]
 //             [threads=1] [cotenant=0] [dag=0]
 //
+// only=<index> checks (and replays) just that schedule, whatever
+// schedules= says.
+//
 // threads=N fans the independent schedule checks across the sweep engine's
 // work-stealing pool; the canonically-first (lowest-index) violation is
 // reported and shrunk regardless of which worker found it first, so output
@@ -48,7 +51,8 @@
 //
 // Exit code 0 when every schedule holds, 1 with a reproducer otherwise, 2 on
 // an unknown key, an out-of-range count (schedules must be in [1,
-// 4294967295], threads at most 4294967295) or contradictory mode selection.
+// 4294967295], only and threads in [0, 4294967295]) or contradictory mode
+// selection.
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -244,7 +248,6 @@ EnsembleConfig faulted_config(const Faulted& s) {
   cfg.testbed.integrity.enabled = s.integrity;
   if (s.solution == Solution::kDyad) {
     cfg.testbed.dyad.retry.enabled = true;
-    cfg.testbed.dyad.retry.lustre_fallback = true;
     cfg.testbed.dyad.health.enabled = s.health;
     cfg.testbed.dyad.health.hedge.enabled = s.hedge;
   }
@@ -592,7 +595,7 @@ int main(int argc, char** argv) {
       throw ConfigError("schedules must be >= 1, got 0");
     }
     opt.seed = cfg.get_uint("seed", opt.seed);
-    opt.only = cfg.get_int("only", opt.only);
+    if (cfg.has("only")) opt.only = cfg.get_u32("only", 0);
     opt.verbose = cfg.get_bool("verbose", opt.verbose);
     opt.threads = cfg.get_u32("threads", opt.threads);
     cotenant = cfg.get_bool("cotenant", false);

@@ -910,7 +910,6 @@ std::vector<Case> resilience_cases() {
       // broker dependence and need no retry to survive these scenarios.
       if (solution == Solution::kDyad) {
         c.config.testbed.dyad.retry.enabled = true;
-        c.config.testbed.dyad.retry.lustre_fallback = true;
       }
       // Crash/corruption scenarios run with end-to-end checksums on (every
       // solution must deliver the complete verified frame set); checkpoints
@@ -1680,25 +1679,23 @@ int main(int argc, char** argv) {
   for (const auto& f : kFigures) names.push_back(f.name);
 
   KeyValueConfig cfg;
-  const std::vector<std::string> wanted = cfg.parse_args(argc, argv);
-  if (wanted.empty()) {
-    std::string msg = "figures: name at least one figure:";
-    for (const auto name : names) msg += " " + std::string(name);
-    std::fprintf(stderr, "%s\n", msg.c_str());
-    return 2;
-  }
   std::vector<std::pair<const Figure*, Run>> runs;
-  for (const auto& name : wanted) {
-    const auto it = std::ranges::find(kFigures, name, &Figure::name);
-    if (it == std::end(kFigures)) {
-      std::fprintf(stderr, "figures: unknown figure '%s'%s\n", name.c_str(),
-                   did_you_mean(name, names).c_str());
-      return 2;
-    }
-    runs.push_back({it, Run{it->name, it->cases(), {}}});
-  }
-  // Every case binds before any runs: a bad key fails fast.
   try {
+    const std::vector<std::string> wanted = cfg.parse_args(argc, argv);
+    if (wanted.empty()) {
+      std::string msg = "name at least one figure:";
+      for (const auto name : names) msg += " " + std::string(name);
+      throw ConfigError(msg);
+    }
+    for (const auto& name : wanted) {
+      const auto it = std::ranges::find(kFigures, name, &Figure::name);
+      if (it == std::end(kFigures)) {
+        throw ConfigError("unknown figure '" + name + "'" +
+                          did_you_mean(name, names));
+      }
+      runs.push_back({it, Run{it->name, it->cases(), {}}});
+    }
+    // Every case binds before any runs: a bad key fails fast.
     for (auto& [figure, run] : runs) bind_keys(cfg, run.cases);
   } catch (const ConfigError& e) {
     std::fprintf(stderr, "figures: %s\n", e.what());

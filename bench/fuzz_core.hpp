@@ -34,7 +34,10 @@ struct Mode {
 struct Options {
   std::uint32_t schedules = 60;
   std::uint64_t seed = 20260806;
-  std::int64_t only = -1;  // >= 0: check (and replay) just this index
+  // Check (and replay) just this index, whatever `schedules` says: a
+  // schedule depends only on (seed, index), so the printed reproducer
+  // replays it as printed.
+  std::optional<std::uint32_t> only;
   bool verbose = false;
   std::uint32_t threads = 1;
 };
@@ -71,38 +74,35 @@ void halve_while_failing(S& s, Halve halve, const Check& check) {
   }
 }
 
-// Checks schedules [0, schedules) — every 8th (and an only= one) also
-// replayed for determinism — across the sweep pool.  Outcomes land in
-// per-index slots and are reported in index order, so output and exit code
-// match the serial run: 0 when all hold; else the lowest-index violation is
-// shrunk and its reproducer printed and written to <file_prefix><i>.txt,
-// returning 1.
+// Checks schedules [0, schedules), or just `only` — every 8th (and an only=
+// one) also replayed for determinism — across the sweep pool.  Outcomes
+// land in per-index slots and are reported in index order, so output and
+// exit code match the serial run: 0 when all hold; else the lowest-index
+// violation is shrunk and its reproducer printed and written to
+// <file_prefix><i>.txt, returning 1.
 template <class S>
 int run(const Mode<S>& mode, const Options& opt) {
   struct Outcome {
+    std::uint32_t index = 0;
     S s;
     Verdict bad;
-    bool checked = false;
   };
-  std::vector<Outcome> outcomes(opt.schedules);
+  std::vector<Outcome> outcomes(opt.only ? 1 : opt.schedules);
+  for (std::uint32_t k = 0; k < outcomes.size(); ++k) {
+    outcomes[k].index = opt.only.value_or(k);
+  }
   std::vector<std::function<void()>> checks;
-  for (std::uint32_t i = 0; i < opt.schedules; ++i) {
-    if (opt.only >= 0 && static_cast<std::int64_t>(i) != opt.only) continue;
-    checks.push_back([&outcomes, &mode, &opt, i] {
-      Outcome& o = outcomes[i];
-      o.s = mode.draw(opt.seed, i);
-      if (i % 8 == 0 || opt.only >= 0) o.bad = mode.replay(o.s);
+  for (Outcome& o : outcomes) {
+    checks.push_back([&o, &mode, &opt] {
+      o.s = mode.draw(opt.seed, o.index);
+      if (o.index % 8 == 0 || opt.only) o.bad = mode.replay(o.s);
       if (!o.bad.has_value()) o.bad = mode.check(o.s);
-      o.checked = true;
     });
   }
   sweep::run_tasks(std::move(checks), opt.threads);
 
-  std::uint64_t ran = 0;
-  for (std::uint32_t i = 0; i < opt.schedules; ++i) {
-    const Outcome& o = outcomes[i];
-    if (!o.checked) continue;
-    ++ran;
+  for (const Outcome& o : outcomes) {
+    const std::uint32_t i = o.index;
     if (opt.verbose) std::printf("%s\n", mode.describe(o.s).c_str());
     if (!o.bad.has_value()) continue;
 
@@ -125,8 +125,8 @@ int run(const Mode<S>& mode, const Options& opt) {
     }
     return 1;
   }
-  std::printf("chaos_fuzz: %llu %s [seed=%llu]\n",
-              static_cast<unsigned long long>(ran), mode.summary.c_str(),
+  std::printf("chaos_fuzz: %zu %s [seed=%llu]\n", outcomes.size(),
+              mode.summary.c_str(),
               static_cast<unsigned long long>(opt.seed));
   return 0;
 }

@@ -37,7 +37,12 @@ std::vector<std::string> KeyValueConfig::parse_args(int argc,
       positional.emplace_back(tok);
       continue;
     }
-    set(trim(tok.substr(0, eq)), trim(tok.substr(eq + 1)));
+    std::string key = trim(tok.substr(0, eq));
+    if (key.empty()) {
+      throw ConfigError("empty key in argument '" + std::string(argv[i]) +
+                        "'");
+    }
+    set(std::move(key), trim(tok.substr(eq + 1)));
   }
   return positional;
 }

@@ -26,6 +26,7 @@ class ConfigError : public std::runtime_error {
 class KeyValueConfig {
  public:
   // Parses argv[1..]; returns positional (non key=value) tokens in order.
+  // Throws ConfigError on an argument with an empty key ("=3").
   std::vector<std::string> parse_args(int argc, const char* const* argv);
 
   // Parses a config file stream; throws ConfigError with the line number

@@ -87,7 +87,7 @@ DyadNode::DyadNode(sim::Simulation& sim, const DyadParams& params,
                    DyadDomain& domain, net::NodeId node,
                    fs::LocalFs& local_fs, net::Network& network,
                    kvs::KvsServer& kvs_server,
-                   fs::LustreServers* fallback_servers)
+                   fs::LustreServers& fallback_servers)
     : sim_(&sim),
       params_(params),
       domain_(&domain),
@@ -98,12 +98,9 @@ DyadNode::DyadNode(sim::Simulation& sim, const DyadParams& params,
       service_slots_(sim, params.broker_concurrency),
       health_(params.health) {
   domain.add(*this);
-  if (params.retry.enabled && params.retry.lustre_fallback &&
-      fallback_servers != nullptr) {
-    fallback_client_ =
-        std::make_unique<fs::LustreClient>(sim, *fallback_servers, node);
-  }
   if (params.retry.enabled) {
+    fallback_client_ =
+        std::make_unique<fs::LustreClient>(sim, fallback_servers, node);
     // Producer half of the recovery protocol: when the broker comes back
     // from an outage, replay exactly the metadata commits it lost.
     kvs_server.add_recovery_listener(
@@ -315,8 +312,7 @@ sim::Task<void> DyadProducer::produce(const std::string& path, Bytes size) {
     }
     co_await node_->commit_guarded(metadata_key(path), encoded);
   }
-  if (node_->params().retry.enabled && node_->params().retry.lustre_fallback &&
-      node_->fallback_client() != nullptr) {
+  if (node_->fallback_client() != nullptr) {
     // Keep a cold replica on the shared FS in the background; the consumer
     // failover path reads it when DYAD's own paths stay broken.
     node_->simulation().spawn(node_->write_through(path, size));
@@ -649,9 +645,7 @@ sim::Task<void> DyadConsumer::consume(const std::string& path, Bytes size) {
   auto& local = node_->local_fs();
   const DyadRetryParams& retry = node_->params().retry;
   const health::HealthParams& hp = node_->params().health;
-  const bool can_fail_over =
-      retry.enabled && retry.lustre_fallback &&
-      node_->fallback_client() != nullptr;
+  const bool can_fail_over = node_->fallback_client() != nullptr;
   // Breaker and hedge both reroute to the Lustre replica, so they gate
   // traffic only when that path exists; health without failover is
   // detection-only.

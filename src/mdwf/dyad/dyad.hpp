@@ -45,7 +45,10 @@ namespace mdwf::dyad {
 // by default: the healthy-cluster paths the paper measures are unchanged.
 struct DyadRetryParams {
   // Master switch.  Enables consumer RPC timeout+retry and producer-side
-  // metadata re-publish after a broker recovery.
+  // metadata re-publish after a broker recovery.  After max_attempts the
+  // consumer fails over to reading the frame from the shared parallel FS;
+  // producers write frames through to Lustre in the background to keep
+  // that cold replica available.
   bool enabled = false;
   // Per-attempt bound on a KVS metadata watch; a remote read that fails
   // fast (partition) retries immediately after backoff.
@@ -54,10 +57,6 @@ struct DyadRetryParams {
   Duration backoff_base = Duration::milliseconds(5);
   double backoff_factor = 2.0;
   std::uint32_t max_attempts = 6;
-  // After max_attempts the consumer fails over to reading the frame from
-  // the shared parallel FS; producers write frames through to Lustre in the
-  // background to keep that cold replica available.
-  bool lustre_fallback = false;
 };
 
 struct DyadParams {
@@ -97,8 +96,8 @@ struct DyadParams {
   // hedging against the Lustre cold replica, and bounded server admission
   // queues.  The breaker and the hedge route around a sick broker via the
   // retry protocol's failover path, so they engage only when
-  // retry.enabled && retry.lustre_fallback; health.enabled alone never
-  // changes a healthy run's timing.
+  // retry.enabled; health.enabled alone never changes a healthy run's
+  // timing.
   health::HealthParams health{};
   // Durable puts: fsync each produced frame before publishing its metadata
   // (the commit barrier of the crash-consistency model).  Off by default so
@@ -152,13 +151,12 @@ class DyadDomain {
 // Registers itself with `domain` on construction.
 class DyadNode {
  public:
-  // `fallback_servers`, when provided and `params.retry.lustre_fallback` is
-  // set, backs the failover path: producers write frames through to Lustre
-  // and consumers read from it when DYAD's own paths stay broken.
+  // With `params.retry.enabled`, `fallback_servers` backs the failover
+  // path: producers write frames through to Lustre and consumers read from
+  // it when DYAD's own paths stay broken.
   DyadNode(sim::Simulation& sim, const DyadParams& params, DyadDomain& domain,
            net::NodeId node, fs::LocalFs& local_fs, net::Network& network,
-           kvs::KvsServer& kvs_server,
-           fs::LustreServers* fallback_servers = nullptr);
+           kvs::KvsServer& kvs_server, fs::LustreServers& fallback_servers);
 
   net::NodeId node() const { return node_; }
   fs::LocalFs& local_fs() { return *local_fs_; }

@@ -10,21 +10,7 @@ sim::Task<void> FileLock::lock_shared() {
     FileLock* l;
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h) const {
-      l->waiters_.push_back(Waiter{h, false});
-    }
-    void await_resume() const noexcept {}
-  };
-  co_await Waiting{this};
-}
-
-sim::Task<void> FileLock::lock_exclusive() {
-  if (try_lock_exclusive()) co_return;
-  struct Waiting {
-    FileLock* l;
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) const {
-      l->waiters_.push_back(Waiter{h, true});
-      l->has_queued_writer_ = true;
+      l->waiters_.push_back(h);
     }
     void await_resume() const noexcept {}
   };
@@ -32,13 +18,13 @@ sim::Task<void> FileLock::lock_exclusive() {
 }
 
 bool FileLock::try_lock_shared() {
-  if (!can_grant_shared() || !waiters_.empty()) return false;
+  if (exclusive_held_ || !waiters_.empty()) return false;
   ++shared_holders_;
   return true;
 }
 
 bool FileLock::try_lock_exclusive() {
-  if (!can_grant_exclusive() || !waiters_.empty()) return false;
+  if (exclusive_held_ || shared_holders_ != 0) return false;
   exclusive_held_ = true;
   return true;
 }
@@ -46,42 +32,17 @@ bool FileLock::try_lock_exclusive() {
 void FileLock::unlock_shared() {
   MDWF_ASSERT_MSG(shared_holders_ > 0, "unlock_shared without holder");
   --shared_holders_;
-  wake_eligible();
 }
 
 void FileLock::unlock_exclusive() {
   MDWF_ASSERT_MSG(exclusive_held_, "unlock_exclusive without holder");
   exclusive_held_ = false;
-  wake_eligible();
-}
-
-void FileLock::wake_eligible() {
-  // Serve the queue FIFO: a writer at the head is granted alone; a run of
-  // readers at the head is granted together.
-  while (!waiters_.empty()) {
-    Waiter& front = waiters_.front();
-    if (front.exclusive) {
-      if (!can_grant_exclusive()) break;
-      exclusive_held_ = true;
-      auto h = front.h;
-      waiters_.pop_front();
-      // Recompute the queued-writer flag.
-      has_queued_writer_ = false;
-      for (const auto& w : waiters_) {
-        if (w.exclusive) {
-          has_queued_writer_ = true;
-          break;
-        }
-      }
-      sim_->schedule_resume(h, Duration::zero());
-      break;  // exclusive holder blocks everyone behind it
-    }
-    if (exclusive_held_) break;
+  // Every waiter is a reader: admit the whole queue, FIFO.
+  for (auto h : waiters_) {
     ++shared_holders_;
-    auto h = front.h;
-    waiters_.pop_front();
     sim_->schedule_resume(h, Duration::zero());
   }
+  waiters_.clear();
 }
 
 }  // namespace mdwf::fs

@@ -2,15 +2,19 @@
 //
 // DYAD's warm synchronization path is flock-based: the producer holds an
 // exclusive lock while writing; a consumer taking a shared lock therefore
-// blocks exactly until the data is complete.  Readers are admitted together;
-// writers are exclusive; waiters are served FIFO with no writer starvation
-// (a queued writer blocks later-arriving readers).
+// blocks exactly until the data is complete.  Readers are admitted together
+// and, while a writer holds the lock, wait FIFO until it unlocks.
+//
+// Writers never wait: the only exclusive acquisition is
+// `LocalFs::create(path, /*exclusive_lock=*/true)`, which locks the
+// `FileLock` it has just constructed, so `try_lock_exclusive` always
+// succeeds there.  Hence every queued waiter is a reader, and the queue is
+// non-empty only while a writer holds the lock.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 
-#include "mdwf/sim/primitives.hpp"
 #include "mdwf/sim/simulation.hpp"
 #include "mdwf/sim/task.hpp"
 
@@ -24,7 +28,6 @@ class FileLock {
   FileLock& operator=(const FileLock&) = delete;
 
   sim::Task<void> lock_shared();
-  sim::Task<void> lock_exclusive();
   bool try_lock_shared();
   bool try_lock_exclusive();
   void unlock_shared();
@@ -35,24 +38,10 @@ class FileLock {
   std::size_t waiting() const { return waiters_.size(); }
 
  private:
-  struct Waiter {
-    std::coroutine_handle<> h;
-    bool exclusive;
-  };
-
-  bool can_grant_shared() const {
-    return !exclusive_held_ && !has_queued_writer_;
-  }
-  bool can_grant_exclusive() const {
-    return !exclusive_held_ && shared_holders_ == 0;
-  }
-  void wake_eligible();
-
   sim::Simulation* sim_;
   std::uint32_t shared_holders_ = 0;
   bool exclusive_held_ = false;
-  bool has_queued_writer_ = false;
-  std::deque<Waiter> waiters_;
+  std::deque<std::coroutine_handle<>> waiters_;  // readers, FIFO
 };
 
 }  // namespace mdwf::fs

@@ -35,12 +35,7 @@ sim::Task<void> LocalFs::metadata_op() {
 
 sim::Task<void> LocalFs::journal_commit() {
   ++journal_commits_;
-  if (params_.journal_sync) {
-    co_await device_->write(params_.journal_record);
-  }
-  // Asynchronous journaling batches commits into the background; the cost
-  // shows up as device contention only, which the harness ignores for
-  // metadata-light workloads.
+  co_await device_->write(params_.journal_record);
 }
 
 sim::Task<InodeId> LocalFs::create(std::string path, bool exclusive_lock) {
@@ -79,25 +74,6 @@ sim::Task<void> LocalFs::unlink(const std::string& path) {
   co_await journal_commit();
 }
 
-sim::Task<void> LocalFs::rename(const std::string& from, std::string to) {
-  co_await metadata_op();
-  const auto it = by_path_.find(from);
-  if (it == by_path_.end()) throw FsError("rename: no such file: " + from);
-  const InodeId ino = it->second;
-  const auto dst = by_path_.find(to);
-  if (dst != by_path_.end()) {
-    // Replace: the destination inode is released.
-    Inode& victim = inode(dst->second);
-    allocator_.release(victim.extents);
-    cache_->drop(victim.id);
-    inodes_.erase(victim.id);
-    by_path_.erase(dst);
-  }
-  by_path_.erase(from);
-  by_path_.emplace(std::move(to), ino);
-  co_await journal_commit();
-}
-
 bool LocalFs::exists(const std::string& path) const {
   return by_path_.contains(path);
 }
@@ -106,15 +82,6 @@ std::optional<Bytes> LocalFs::stat(const std::string& path) const {
   const auto it = by_path_.find(path);
   if (it == by_path_.end()) return std::nullopt;
   return inode(it->second).size;
-}
-
-std::vector<std::string> LocalFs::list(const std::string& prefix) const {
-  std::vector<std::string> out;
-  for (auto it = by_path_.lower_bound(prefix); it != by_path_.end(); ++it) {
-    if (it->first.compare(0, prefix.size(), prefix) != 0) break;
-    out.push_back(it->first);
-  }
-  return out;
 }
 
 sim::Task<void> LocalFs::write(InodeId ino, Bytes offset, Bytes len) {

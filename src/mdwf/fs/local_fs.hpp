@@ -6,8 +6,8 @@
 //   - buffered data I/O through the page cache (memcpy; device on miss,
 //     eviction, or fsync),
 //   - extent allocation on append (first-fit allocator).
-// Contents are not stored — files are byte ranges with sizes; integrity of
-// real payloads is exercised by the `rt` (real-thread) backend instead.
+// Contents are not stored — files are byte ranges with sizes; payload
+// integrity is modelled above this layer (`integrity::Ledger`).
 //
 // XFS cannot span nodes: a LocalFs instance belongs to exactly one node, and
 // only processes on that node may reach it (enforced by the workflow layer).
@@ -37,11 +37,9 @@ class FsError : public std::runtime_error {
 struct LocalFsParams {
   // CPU charged per namespace operation.
   Duration metadata_cpu = Duration::microseconds(3);
-  // Journal log record size; one record per journaled transaction.
+  // Journal log record size; every journaled transaction writes one record
+  // to the device synchronously.
   Bytes journal_record = Bytes::kib(4);
-  // Synchronous journal commits (true mimics frequent small-file fsync-ish
-  // behaviour; false batches them into the background).
-  bool journal_sync = true;
   // Allocation granularity (extent size rounding).
   Bytes allocation_unit = Bytes::kib(64);
   // O_DIRECT-style I/O: bypass the page cache, every read/write hits the
@@ -70,14 +68,9 @@ class LocalFs {
   // Opens an existing file; throws FsError if absent.
   sim::Task<InodeId> open(const std::string& path);
   sim::Task<void> unlink(const std::string& path);
-  // Atomic rename; replaces an existing destination (POSIX semantics).
-  // The write-tmp-then-rename commit pattern rides on this.
-  sim::Task<void> rename(const std::string& from, std::string to);
 
   bool exists(const std::string& path) const;
   std::optional<Bytes> stat(const std::string& path) const;
-  // Paths with the given prefix, sorted (readdir equivalent).
-  std::vector<std::string> list(const std::string& prefix) const;
 
   // --- Data ------------------------------------------------------------------
 
@@ -119,7 +112,6 @@ class LocalFs {
     Bytes allocated = Bytes::zero();
     std::vector<Extent> extents;
     std::unique_ptr<FileLock> lock;
-    std::uint32_t links = 1;
   };
 
   Inode& inode(InodeId ino);

@@ -29,10 +29,6 @@ storage::BlockDevice& LustreServers::ost_device(std::uint32_t idx) {
   return *osts_[idx].device;
 }
 
-void LustreServers::set_ost_background_load(double fraction) {
-  for (auto& ost : osts_) ost.device->set_background_load(fraction);
-}
-
 sim::Task<void> LustreServers::mds_rpc(net::NodeId client) {
   ++mds_requests_;
   co_await network_->send_control(client, mds_node_);

@@ -84,11 +84,6 @@ class LustreServers {
     return static_cast<std::uint32_t>(osts_.size());
   }
 
-  // Applies a constant background load to every OST device (interference
-  // from other cluster tenants); stochastic interference lives in
-  // mdwf/fs/interference.hpp.
-  void set_ost_background_load(double fraction);
-
   // MDS service slots (exposed so interference can model metadata storms
   // from other tenants occupying server capacity).
   sim::Semaphore& mds_slots() { return *mds_slots_; }

@@ -220,16 +220,4 @@ sim::Task<bool> KvsClient::watch_for(const std::string& key,
       again->second.visible_at <= sim_->now();
 }
 
-sim::Task<KvsValue> KvsClient::wait_for(const std::string& key,
-                                        Duration* idle_out) {
-  if (idle_out != nullptr) *idle_out = Duration::zero();
-  for (;;) {
-    auto found = co_await lookup(key);
-    if (found.has_value()) co_return *found;
-    const TimePoint blocked_at = sim_->now();
-    co_await watch_until_visible(key);
-    if (idle_out != nullptr) *idle_out += sim_->now() - blocked_at;
-  }
-}
-
 }  // namespace mdwf::kvs

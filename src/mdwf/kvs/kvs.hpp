@@ -166,12 +166,6 @@ class KvsClient {
   // Visible value for key, or nullopt.
   sim::Task<std::optional<KvsValue>> lookup(const std::string& key);
 
-  // Lookup, and if the key is not yet visible, watch until it is (waking at
-  // visibility) and look up again.  `idle_out`, when non-null, receives the
-  // time spent blocked in the watch (the synchronization-idle component).
-  sim::Task<KvsValue> wait_for(const std::string& key,
-                               Duration* idle_out = nullptr);
-
   // Blocks until `key` becomes visible (push notification; no lookup RPC).
   // Returns immediately if it already is.
   sim::Task<void> watch_until_visible(const std::string& key);

@@ -124,12 +124,6 @@ sim::Task<void> Network::send_control(NodeId src, NodeId dst) {
   co_await transfer(src, dst, params_.control_message_size);
 }
 
-sim::Task<void> Network::rdma_get(NodeId requester, NodeId owner,
-                                  Bytes payload) {
-  co_await send_control(requester, owner);
-  co_await transfer(owner, requester, payload);
-}
-
 sim::Task<void> Network::rdma_put(NodeId src, NodeId dst, Bytes payload) {
   co_await transfer(src, dst, payload);
   co_await send_control(dst, src);

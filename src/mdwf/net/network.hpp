@@ -69,10 +69,6 @@ class Network {
   // Control-plane message (fixed small size + latency).
   sim::Task<void> send_control(NodeId src, NodeId dst);
 
-  // One-sided read: requester sends a control request to `owner`, then the
-  // payload streams owner -> requester.
-  sim::Task<void> rdma_get(NodeId requester, NodeId owner, Bytes payload);
-
   // One-sided write: payload streams src -> dst, then a completion control
   // message returns.
   sim::Task<void> rdma_put(NodeId src, NodeId dst, Bytes payload);

@@ -7,8 +7,7 @@
 
 #include <coroutine>
 #include <deque>
-#include <memory>
-#include <optional>
+#include <utility>
 #include <vector>
 
 #include "mdwf/common/assert.hpp"
@@ -112,158 +111,6 @@ class SemaphoreGuard {
 
  private:
   Semaphore* sem_;
-};
-
-// FIFO channel between processes.  capacity == 0 means unbounded.
-template <typename T>
-class Queue {
- public:
-  explicit Queue(Simulation& sim, std::size_t capacity = 0)
-      : sim_(&sim), capacity_(capacity) {}
-
-  std::size_t size() const { return items_.size(); }
-  bool empty() const { return items_.empty(); }
-
-  // Non-blocking put; fails (returns false) when bounded and full.
-  bool try_put(T v) {
-    if (capacity_ != 0 && items_.size() >= capacity_ && getters_.empty()) {
-      return false;
-    }
-    deliver(std::move(v));
-    return true;
-  }
-
-  // Blocking put: suspends while the queue is full.
-  auto put(T v) {
-    struct Awaiter {
-      Queue* q;
-      T value;
-      bool await_ready() {
-        if (q->capacity_ == 0 || q->items_.size() < q->capacity_ ||
-            !q->getters_.empty()) {
-          q->deliver(std::move(value));
-          return true;
-        }
-        return false;
-      }
-      void await_suspend(std::coroutine_handle<> h) {
-        q->putters_.push_back(Putter{h, std::move(value)});
-      }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{this, std::move(v)};
-  }
-
-  // Non-blocking get; empty when nothing is buffered.
-  std::optional<T> try_get() {
-    if (items_.empty()) return std::nullopt;
-    T v = std::move(items_.front());
-    items_.pop_front();
-    admit_putter();
-    return v;
-  }
-
-  // Blocking get: suspends while the queue is empty.
-  auto get() {
-    struct Awaiter {
-      Queue* q;
-      std::optional<T> slot;
-      bool await_ready() {
-        if (!q->items_.empty()) {
-          slot = std::move(q->items_.front());
-          q->items_.pop_front();
-          q->admit_putter();
-          return true;
-        }
-        return false;
-      }
-      void await_suspend(std::coroutine_handle<> h) {
-        q->getters_.push_back(Getter{h, &slot});
-      }
-      T await_resume() {
-        MDWF_ASSERT(slot.has_value());
-        return std::move(*slot);
-      }
-    };
-    return Awaiter{this, std::nullopt};
-  }
-
- private:
-  struct Getter {
-    std::coroutine_handle<> h;
-    std::optional<T>* slot;
-  };
-  struct Putter {
-    std::coroutine_handle<> h;
-    T value;
-  };
-
-  // Hands a value to a waiting getter if any, else buffers it.
-  void deliver(T v) {
-    if (!getters_.empty()) {
-      Getter g = getters_.front();
-      getters_.pop_front();
-      g.slot->emplace(std::move(v));
-      sim_->schedule_resume(g.h, Duration::zero());
-      return;
-    }
-    items_.push_back(std::move(v));
-  }
-
-  // After a buffered item leaves, a blocked putter (if any) may proceed.
-  void admit_putter() {
-    if (putters_.empty()) return;
-    if (capacity_ != 0 && items_.size() >= capacity_) return;
-    Putter p = std::move(putters_.front());
-    putters_.pop_front();
-    items_.push_back(std::move(p.value));
-    sim_->schedule_resume(p.h, Duration::zero());
-  }
-
-  Simulation* sim_;
-  std::size_t capacity_;
-  std::deque<T> items_;
-  std::deque<Getter> getters_;
-  std::deque<Putter> putters_;
-};
-
-// Reusable rendezvous barrier for a fixed participant count.
-class Barrier {
- public:
-  Barrier(Simulation& sim, std::size_t participants)
-      : sim_(&sim), participants_(participants) {
-    MDWF_ASSERT(participants >= 1);
-  }
-
-  auto arrive_and_wait() {
-    struct Awaiter {
-      Barrier* b;
-      bool await_ready() const noexcept {
-        return b->participants_ == 1;  // degenerate barrier never blocks
-      }
-      bool await_suspend(std::coroutine_handle<> h) const {
-        b->waiters_.push_back(h);
-        if (b->waiters_.size() == b->participants_) {
-          for (auto w : b->waiters_) {
-            b->sim_->schedule_resume(w, Duration::zero());
-          }
-          b->waiters_.clear();
-          // The last arriver is among the scheduled handles; suspend it too
-          // so wake order is uniform.
-        }
-        return true;
-      }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{this};
-  }
-
-  std::size_t waiting() const { return waiters_.size(); }
-
- private:
-  Simulation* sim_;
-  std::size_t participants_;
-  std::vector<std::coroutine_handle<>> waiters_;
 };
 
 // Completion counter: `wait` resumes once `done` has been called `add`-many

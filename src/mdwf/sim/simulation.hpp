@@ -74,8 +74,6 @@ class Simulation {
     return Awaiter{this, d};
   }
 
-  auto yield() { return delay(Duration::zero()); }
-
   // --- Timers (model-internal callbacks) ----------------------------------
 
   TimerId call_at(TimePoint t, std::function<void()> fn);

@@ -54,43 +54,42 @@ bool RouteBook::is_fallback(std::uint32_t pair, std::uint64_t frame) const {
 
 sim::Task<void> FallbackConnector::put(const std::string& path, Bytes size,
                                        std::uint64_t frame) {
-  const std::uint64_t f = resolve(frame, put_seq_);
-  if (book_->decide(pair_, f, guard_->fallback_engaged())) {
-    co_await fallback_->put(path, size, f);
+  if (book_->decide(pair_, frame, guard_->fallback_engaged())) {
+    co_await fallback_->put(path, size, frame);
   } else {
-    co_await primary_->put(path, size, f);
+    co_await primary_->put(path, size, frame);
   }
 }
 
 sim::Task<void> FallbackConnector::producer_sync(std::uint64_t frame) {
-  const std::uint64_t f = resolve(frame, sync_seq_);
-  if (book_->is_fallback(pair_, f)) {
+  if (book_->is_fallback(pair_, frame)) {
     // The Lustre plane keeps the paper's coarse-grained sync: degraded
     // frames serialize producer and consumer — that is the cost the guard
     // traded for predictable latency.
-    co_await fallback_->producer_sync(f);
+    co_await fallback_->producer_sync(frame);
   } else {
-    co_await primary_->producer_sync(f);
+    co_await primary_->producer_sync(frame);
   }
 }
 
 sim::Task<void> FallbackConnector::get(const std::string& path, Bytes size,
                                        std::uint64_t frame) {
-  const std::uint64_t f = resolve(frame, get_seq_);
-  if (co_await book_->wait_decision(pair_, f)) {
-    co_await fallback_->get(path, size, f);
+  // Awaited outside the `if`: GCC 12 miscompiles this coroutine (SIGILL on
+  // resume) when the co_await is the condition itself.
+  const bool fallback = co_await book_->wait_decision(pair_, frame);
+  if (fallback) {
+    co_await fallback_->get(path, size, frame);
   } else {
-    co_await primary_->get(path, size, f);
+    co_await primary_->get(path, size, frame);
   }
 }
 
 void FallbackConnector::acknowledge(std::uint64_t frame) {
-  const std::uint64_t f = resolve(frame, ack_seq_);
   // Acknowledge on both planes: the primary's ack is a no-op, and keeping
   // the Lustre plane's done mark current means a later fallback frame's
   // producer_sync never waits on acks that predate the fallback.
-  primary_->acknowledge(f);
-  fallback_->acknowledge(f);
+  primary_->acknowledge(frame);
+  fallback_->acknowledge(frame);
 }
 
 }  // namespace mdwf::tenant

@@ -208,11 +208,11 @@ TenantRepOutcome run_tenant_repetition(const MultiTenantConfig& config,
     rs.checkpoint = spec.checkpoint;
     // Only the tenants whose own slice crashes run the crash-aware loops:
     // a healthy neighbor keeps the classic loop shape (and its timings).
-    rs.crash_aware =
-        injector != nullptr &&
-        fault::has_crash_in_nodes(tp.faults, base[i], spec.nodes);
-    fault::CrashMonitor* crash =
-        rs.crash_aware ? &injector->monitor() : nullptr;
+    fault::CrashMonitor* crash = nullptr;
+    if (injector != nullptr &&
+        fault::has_crash_in_nodes(tp.faults, base[i], spec.nodes)) {
+      crash = &injector->monitor();
+    }
     if (multi) {
       // A solo tenant keeps all three empty and reproduces the classic
       // runner bit-for-bit (same paths, same seed stream, same lanes).
@@ -679,7 +679,6 @@ MultiTenantConfig parse_multi_tenant(const KeyValueConfig& cfg,
   const bool retry =
       cfg.get_bool("retry", any_faults || mc.testbed.dyad.retry.enabled);
   mc.testbed.dyad.retry.enabled = retry;
-  mc.testbed.dyad.retry.lustre_fallback = retry;
   mc.testbed.integrity.enabled = cfg.get_bool(
       "integrity", flips || crashes || mc.testbed.integrity.enabled);
   return mc;

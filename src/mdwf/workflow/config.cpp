@@ -185,7 +185,6 @@ EnsembleConfig parse_ensemble_config(const KeyValueConfig& cfg,
   const bool retry = cfg.get_bool(
       "retry", faults != "none" || defaults.testbed.dyad.retry.enabled);
   config.testbed.dyad.retry.enabled = retry;
-  config.testbed.dyad.retry.lustre_fallback = retry;
 
   // Gray-failure mitigation (mdwf::health): health=on arms the phi-accrual
   // detector, circuit breaker, and bounded admission queues; hedge=on

@@ -71,7 +71,6 @@ std::unique_ptr<Connector> make_connector(const ConnectorSpec& spec) {
 
 sim::Task<void> XfsConnector::put(const std::string& path, Bytes size,
                                   std::uint64_t frame) {
-  const std::uint64_t f = resolve(frame, put_seq_);
   perf::ScopedRegion write(*rec_, "write", perf::Category::kMovement);
   if (durable_ && fs_->exists(path)) {
     // Re-executed frame after a crash: replace the (possibly torn) copy.
@@ -88,21 +87,19 @@ sim::Task<void> XfsConnector::put(const std::string& path, Bytes size,
     ledger_->store(path, integrity::Ledger::ssd_location(node_), node_);
   }
   write.close();
-  sync_->signal_ready(f);
+  sync_->signal_ready(frame);
 }
 
 sim::Task<void> XfsConnector::producer_sync(std::uint64_t frame) {
-  const std::uint64_t f = resolve(frame, sync_seq_);
   perf::ScopedRegion wait(*rec_, "producer_sync", perf::Category::kIdle);
-  co_await sync_->wait_done(f);
+  co_await sync_->wait_done(frame);
 }
 
 sim::Task<void> XfsConnector::get(const std::string& path, Bytes size,
                                   std::uint64_t frame) {
-  const std::uint64_t f = resolve(frame, get_seq_);
   {
     perf::ScopedRegion sync(*rec_, "explicit_sync", perf::Category::kIdle);
-    co_await sync_->wait_ready(f);
+    co_await sync_->wait_ready(frame);
   }
   {
     perf::ScopedRegion read(*rec_, "FilesystemReader::read_single_buf",
@@ -141,7 +138,6 @@ sim::Task<void> XfsConnector::verify(const std::string& path, Bytes size) {
 
 sim::Task<void> LustreConnector::put(const std::string& path, Bytes size,
                                      std::uint64_t frame) {
-  const std::uint64_t f = resolve(frame, put_seq_);
   perf::ScopedRegion write(*rec_, "write", perf::Category::kMovement);
   if (durable_ && co_await client_.exists(path)) {
     // Re-executed frame after a crash: replace the torn replica.
@@ -155,21 +151,19 @@ sim::Task<void> LustreConnector::put(const std::string& path, Bytes size,
   co_await client_.close(h, /*wrote=*/true);
   if (ledger_ != nullptr) ledger_->store_lustre(path, node_);
   write.close();
-  sync_->signal_ready(f);
+  sync_->signal_ready(frame);
 }
 
 sim::Task<void> LustreConnector::producer_sync(std::uint64_t frame) {
-  const std::uint64_t f = resolve(frame, sync_seq_);
   perf::ScopedRegion wait(*rec_, "producer_sync", perf::Category::kIdle);
-  co_await sync_->wait_done(f);
+  co_await sync_->wait_done(frame);
 }
 
 sim::Task<void> LustreConnector::get(const std::string& path, Bytes size,
                                      std::uint64_t frame) {
-  const std::uint64_t f = resolve(frame, get_seq_);
   {
     perf::ScopedRegion sync(*rec_, "explicit_sync", perf::Category::kIdle);
-    co_await sync_->wait_ready(f);
+    co_await sync_->wait_ready(frame);
   }
   {
     perf::ScopedRegion read(*rec_, "FilesystemReader::read_single_buf",

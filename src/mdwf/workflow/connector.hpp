@@ -37,8 +37,7 @@
 // that rolls back to a checkpoint and re-announces frames it already
 // announced cannot double-release a consumer, and a consumer that re-waits
 // for an already-announced frame proceeds immediately instead of
-// deadlocking on a consumed token.  Callers that predate the crash model
-// omit the index (kAutoFrame) and get the old strictly-in-order behaviour.
+// deadlocking on a consumed token.
 #pragma once
 
 #include <cstdint>
@@ -86,9 +85,6 @@ class ExplicitSync {
   // Producer: block until the consumer finished iteration `frame`.
   sim::Task<void> wait_done(std::uint64_t frame) { return await(done_, frame); }
 
-  std::uint64_t ready_frames() const { return ready_.high; }
-  std::uint64_t done_frames() const { return done_.high; }
-
  private:
   struct Mark {
     std::uint64_t high = 0;              // frames [0, high) announced
@@ -104,48 +100,28 @@ class ExplicitSync {
 };
 
 // One connector instance per rank (producer or consumer); put() is used by
-// producers, get() by consumers.  The frame index makes re-execution after
-// a crash explicit; callers that always move forward can omit it and the
-// connector derives it from a per-verb sequence counter.
+// producers, get() by consumers.  Every verb carries the frame index, so
+// re-execution after a crash is explicit.
 class Connector {
  public:
-  // Sentinel frame index: derive from the connector's own in-order counter.
-  static constexpr std::uint64_t kAutoFrame = ~std::uint64_t{0};
-
   virtual ~Connector() = default;
 
   // Publish `size` bytes under `path` as frame `frame`.
   virtual sim::Task<void> put(const std::string& path, Bytes size,
-                              std::uint64_t frame = kAutoFrame) = 0;
+                              std::uint64_t frame) = 0;
   // After put: block until the consumer allows the next iteration (manual
   // coarse-grained sync only; no-op for DYAD).
-  virtual sim::Task<void> producer_sync(std::uint64_t frame = kAutoFrame) = 0;
+  virtual sim::Task<void> producer_sync(std::uint64_t frame) = 0;
   // Acquire and read `path` (frame `frame`).
   virtual sim::Task<void> get(const std::string& path, Bytes size,
-                              std::uint64_t frame = kAutoFrame) = 0;
+                              std::uint64_t frame) = 0;
   // Consumer iteration complete (manual sync only; no-op for DYAD).
-  virtual void acknowledge(std::uint64_t frame = kAutoFrame) {}
+  virtual void acknowledge(std::uint64_t /*frame*/) {}
 
   // The connector whose per-rank counters the collector should read.
   // Decorators (e.g. the co-tenant SLO fallback wrapper) forward to their
   // primary so a DYAD tenant's stats survive wrapping.
   virtual const Connector& stats_target() const { return *this; }
-
- protected:
-  // Resolve kAutoFrame against a per-verb monotonic sequence; an explicit
-  // index also fast-forwards the sequence so mixed use stays coherent.
-  static std::uint64_t resolve(std::uint64_t frame, std::uint64_t& seq) {
-    if (frame != kAutoFrame) {
-      seq = frame + 1;
-      return frame;
-    }
-    return seq++;
-  }
-
-  std::uint64_t put_seq_ = 0;
-  std::uint64_t sync_seq_ = 0;
-  std::uint64_t get_seq_ = 0;
-  std::uint64_t ack_seq_ = 0;
 };
 
 class DyadConnector final : public Connector {
@@ -198,7 +174,7 @@ class XfsConnector final : public Connector {
   sim::Task<void> get(const std::string& path, Bytes size,
                       std::uint64_t frame) override;
   void acknowledge(std::uint64_t frame) override {
-    sync_->signal_done(resolve(frame, ack_seq_));
+    sync_->signal_done(frame);
   }
 
  private:
@@ -233,7 +209,7 @@ class LustreConnector final : public Connector {
   sim::Task<void> get(const std::string& path, Bytes size,
                       std::uint64_t frame) override;
   void acknowledge(std::uint64_t frame) override {
-    sync_->signal_done(resolve(frame, ack_seq_));
+    sync_->signal_done(frame);
   }
 
  private:

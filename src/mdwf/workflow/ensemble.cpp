@@ -318,7 +318,7 @@ void build_rank_set(Testbed& tb, const RankSetSpec& spec, const Rng& set_rng,
                : spec.trace_process + "/node" + std::to_string(node);
   };
 
-  const bool ckpt_on = spec.checkpoint.resolve_enabled(spec.crash_aware);
+  const bool ckpt_on = spec.checkpoint.resolve_enabled(crash != nullptr);
   assets.stats.assign(2 * spec.pairs, RankStats{});
 
   // Migration rebinder: retire the old connector (frames in flight may
@@ -579,7 +579,6 @@ RepOutcome run_repetition(const EnsembleConfig& config, std::uint32_t rep,
       config, rep, trace,
       [&](Testbed& tb, fault::CrashMonitor* crash, RepOutcome& out) {
         // Crash windows (by default) also enable checkpointing.
-        spec.crash_aware = crash != nullptr;
         build_rank_set(tb, spec, rep_rng, crash, &out.cons_fetch_us, assets);
         if (config.lustre_interference) {
           config.interference.validate();

@@ -289,9 +289,6 @@ struct RankSetSpec {
   Placement placement = Placement::kSplit;
   WorkloadConfig workload{};
   CheckpointParams checkpoint{};
-  // Run the crash-aware rank loops; the caller decides (globally for the
-  // classic path, per tenant for co-tenant runs whose neighbor crashes).
-  bool crash_aware = false;
   // Path namespace ("" classic; "<tenant>/" in multi-tenant runs) applied
   // to frame paths, checkpoint paths, and push-mode subscriptions alike.
   std::string ns;
@@ -335,8 +332,10 @@ struct RankSetAssets {
 // Wires one rank-set onto `tb`: recorders, connectors, syncs, checkpoints,
 // subscriptions, trace lanes, and the (not yet spawned) rank tasks, in the
 // exact order the classic runner used.  `crash` non-null switches ranks to
-// their crash-aware loops; `fetch_samples` non-null records consumer fetch
-// latencies.
+// their crash-aware loops (and, by default, enables checkpointing); the
+// caller decides (globally for the classic path, per tenant for co-tenant
+// runs whose neighbor crashes).  `fetch_samples` non-null records consumer
+// fetch latencies.
 void build_rank_set(Testbed& tb, const RankSetSpec& spec, const Rng& set_rng,
                     fault::CrashMonitor* crash, Samples* fetch_samples,
                     RankSetAssets& assets);

@@ -60,13 +60,9 @@ Testbed::Testbed(const TestbedParams& params) : params_(params) {
                                                    *r.ssd);
     r.local_fs = std::make_unique<fs::LocalFs>(sim_, params.local_fs, *r.ssd,
                                                *r.cache);
-    fs::LustreServers* fallback =
-        params_.dyad.retry.enabled && params_.dyad.retry.lustre_fallback
-            ? lustre_.get()
-            : nullptr;
     r.dyad = std::make_unique<dyad::DyadNode>(sim_, params_.dyad, dyad_domain_,
                                               net::NodeId{i}, *r.local_fs,
-                                              *network_, *kvs_, fallback);
+                                              *network_, *kvs_, *lustre_);
     r.stream = std::make_unique<stream::StreamNode>(
         sim_, params_.stream, stream_domain_, net::NodeId{i}, *network_, *kvs_,
         *lustre_);

@@ -189,7 +189,6 @@ void apply_scenario(EnsembleConfig& c, const std::string& name) {
   shape.seed = c.base_seed;
   c.testbed.faults = fault::make_scenario(name, shape);
   c.testbed.dyad.retry.enabled = true;
-  c.testbed.dyad.retry.lustre_fallback = true;
   c.testbed.integrity.enabled = true;
 }
 

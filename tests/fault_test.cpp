@@ -300,7 +300,6 @@ TestbedParams outage_params(bool retry_enabled) {
   tp.compute_nodes = 2;
   tp.kvs.visibility_delay = 50_ms;
   tp.dyad.retry.enabled = retry_enabled;
-  tp.dyad.retry.lustre_fallback = retry_enabled;
   tp.dyad.retry.timeout = 60_ms;
   tp.dyad.retry.max_attempts = 8;
   tp.faults.windows.push_back(window(FaultTarget::kKvsBroker, 0,
@@ -369,7 +368,6 @@ TEST(DyadRecoveryTest, FailoverReadsLustreWhenOwnerUnreachable) {
   TestbedParams tp;
   tp.compute_nodes = 2;
   tp.dyad.retry.enabled = true;
-  tp.dyad.retry.lustre_fallback = true;
   tp.dyad.retry.max_attempts = 2;
   // The producer node drops off the fabric after publishing (metadata is
   // visible, the write-through replica is on Lustre) and stays down.
@@ -454,7 +452,6 @@ std::pair<std::uint64_t, std::string> run_faulted_workflow() {
   tp.compute_nodes = 2;
   tp.kvs.visibility_delay = 50_ms;
   tp.dyad.retry.enabled = true;
-  tp.dyad.retry.lustre_fallback = true;
   tp.faults = make_scenario("broker-outage", shape);
   Testbed tb(tp);
   auto& sim = tb.simulation();

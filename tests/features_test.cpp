@@ -1,5 +1,5 @@
-// Tests for extension features: LocalFs rename, StatTree CSV export, and
-// in-situ (colocated) vs in-transit (split) placement.
+// Tests for extension features: StatTree CSV export and in-situ
+// (colocated) vs in-transit (split) placement.
 #include <gtest/gtest.h>
 
 #include "mdwf/workflow/ensemble.hpp"
@@ -9,71 +9,6 @@ namespace {
 
 using namespace mdwf::literals;
 using sim::Task;
-
-// --- LocalFs::rename -----------------------------------------------------------
-
-struct FsFixture {
-  sim::Simulation sim;
-  storage::BlockDevice device;
-  storage::PageCache cache;
-  fs::LocalFs lfs;
-
-  FsFixture()
-      : device(sim, storage::BlockDeviceParams{}, "nvme"),
-        cache(sim,
-              storage::PageCacheParams{.capacity = Bytes::mib(16),
-                                       .page_size = Bytes::kib(256),
-                                       .memcpy_bps = 8e9},
-              device),
-        lfs(sim, fs::LocalFsParams{}, device, cache) {}
-};
-
-TEST(RenameTest, MovesFileAtomically) {
-  FsFixture f;
-  f.sim.spawn([](FsFixture& fx) -> Task<void> {
-    const auto ino = co_await fx.lfs.create("frame.tmp");
-    co_await fx.lfs.write(ino, Bytes::zero(), Bytes::kib(100));
-    co_await fx.lfs.rename("frame.tmp", "frame");
-    EXPECT_FALSE(fx.lfs.exists("frame.tmp"));
-    EXPECT_TRUE(fx.lfs.exists("frame"));
-    EXPECT_EQ(fx.lfs.stat("frame"), Bytes::kib(100));
-    // Same inode: data still readable.
-    co_await fx.lfs.read(ino, Bytes::zero(), Bytes::kib(100));
-  }(f));
-  f.sim.run_to_quiescence();
-}
-
-TEST(RenameTest, ReplacesExistingDestination) {
-  FsFixture f;
-  f.sim.spawn([](FsFixture& fx) -> Task<void> {
-    const Bytes before = fx.lfs.free_bytes();
-    const auto old_ino = co_await fx.lfs.create("dst");
-    co_await fx.lfs.write(old_ino, Bytes::zero(), Bytes::mib(1));
-    const auto new_ino = co_await fx.lfs.create("src");
-    co_await fx.lfs.write(new_ino, Bytes::zero(), Bytes::kib(64));
-    co_await fx.lfs.rename("src", "dst");
-    EXPECT_FALSE(fx.lfs.exists("src"));
-    EXPECT_EQ(fx.lfs.stat("dst"), Bytes::kib(64));
-    EXPECT_EQ(fx.lfs.file_count(), 1u);
-    // The replaced inode's space was reclaimed.
-    EXPECT_EQ(fx.lfs.free_bytes(), before - Bytes::kib(64));
-  }(f));
-  f.sim.run_to_quiescence();
-}
-
-TEST(RenameTest, MissingSourceThrows) {
-  FsFixture f;
-  f.sim.spawn([](FsFixture& fx) -> Task<void> {
-    bool threw = false;
-    try {
-      co_await fx.lfs.rename("ghost", "dst");
-    } catch (const fs::FsError&) {
-      threw = true;
-    }
-    EXPECT_TRUE(threw);
-  }(f));
-  f.sim.run_to_quiescence();
-}
 
 // --- StatTree CSV export ----------------------------------------------------------
 

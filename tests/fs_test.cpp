@@ -143,7 +143,7 @@ TEST(FileLockTest, ExclusiveExcludesReaders) {
   FileLock lock(sim);
   TimePoint reader_got;
   sim.spawn([](Simulation& s, FileLock& l) -> Task<void> {
-    co_await l.lock_exclusive();
+    EXPECT_TRUE(l.try_lock_exclusive());
     co_await s.delay(5_ms);
     l.unlock_exclusive();
   }(sim, lock));
@@ -155,35 +155,6 @@ TEST(FileLockTest, ExclusiveExcludesReaders) {
   }(sim, lock, reader_got));
   sim.run_to_quiescence();
   EXPECT_EQ(reader_got, TimePoint::origin() + 5_ms);
-}
-
-TEST(FileLockTest, QueuedWriterBlocksLaterReaders) {
-  Simulation sim;
-  FileLock lock(sim);
-  std::vector<int> order;
-  // Reader A holds; writer W queues; reader B arrives later and must wait
-  // for W (no writer starvation).
-  sim.spawn([](Simulation& s, FileLock& l, std::vector<int>& o) -> Task<void> {
-    co_await l.lock_shared();
-    o.push_back(0);
-    co_await s.delay(4_ms);
-    l.unlock_shared();
-  }(sim, lock, order));
-  sim.spawn([](Simulation& s, FileLock& l, std::vector<int>& o) -> Task<void> {
-    co_await s.delay(1_ms);
-    co_await l.lock_exclusive();
-    o.push_back(1);
-    co_await s.delay(2_ms);
-    l.unlock_exclusive();
-  }(sim, lock, order));
-  sim.spawn([](Simulation& s, FileLock& l, std::vector<int>& o) -> Task<void> {
-    co_await s.delay(2_ms);
-    co_await l.lock_shared();
-    o.push_back(2);
-    l.unlock_shared();
-  }(sim, lock, order));
-  sim.run_to_quiescence();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
 TEST(FileLockTest, TryLockVariants) {
@@ -294,20 +265,6 @@ TEST(LocalFsTest, UnlinkReleasesSpaceAndCache) {
     EXPECT_EQ(fx.fs.free_bytes(), before);
     EXPECT_FALSE(fx.fs.exists("tmp"));
     EXPECT_EQ(fx.cache.resident_pages(), 0u);
-  }(f));
-  f.sim.run_to_quiescence();
-}
-
-TEST(LocalFsTest, ListByPrefix) {
-  LocalFsFixture f;
-  f.sim.spawn([](LocalFsFixture& fx) -> Task<void> {
-    (void)co_await fx.fs.create("pair0/frame000");
-    (void)co_await fx.fs.create("pair0/frame001");
-    (void)co_await fx.fs.create("pair1/frame000");
-    const auto pair0 = fx.fs.list("pair0/");
-    EXPECT_EQ(pair0.size(), 2u);
-    EXPECT_EQ(fx.fs.list("pair").size(), 3u);
-    EXPECT_TRUE(fx.fs.list("zzz").empty());
   }(f));
   f.sim.run_to_quiescence();
 }

@@ -174,6 +174,15 @@ TEST(FuzzCore, ReplaysEveryEighthScheduleAndSummarizesAPass) {
   EXPECT_EQ(r.out,
             "chaos_fuzz: 1 fake schedules held every invariant [seed=7]\n");
   EXPECT_EQ(replays.load(), 1);
+
+  // ...even past schedules=, so a printed reproducer replays as printed.
+  replays = 0;
+  opt.schedules = 3;
+  r = run_captured(mode, opt);
+  EXPECT_EQ(r.code, 0);
+  EXPECT_EQ(r.out,
+            "chaos_fuzz: 1 fake schedules held every invariant [seed=7]\n");
+  EXPECT_EQ(replays.load(), 1);
 }
 
 }  // namespace

@@ -216,7 +216,6 @@ CancelCase run_cancel_case(bool hedge) {
   TestbedParams tp;
   tp.compute_nodes = 2;
   tp.dyad.retry.enabled = true;
-  tp.dyad.retry.lustre_fallback = true;
   tp.dyad.health.enabled = true;
   tp.dyad.health.hedge.enabled = hedge;
 
@@ -273,7 +272,6 @@ TEST(DyadHedgeTest, WinningHedgeConsumesReplicaWithoutStaging) {
   TestbedParams tp;
   tp.compute_nodes = 2;
   tp.dyad.retry.enabled = true;
-  tp.dyad.retry.lustre_fallback = true;
   tp.dyad.health.enabled = true;
   tp.dyad.health.hedge.enabled = true;
   tp.dyad.health.hedge.initial_delay = 2_ms;
@@ -310,7 +308,6 @@ TEST(DyadHedgeTest, WinningHedgeConsumesReplicaWithoutStaging) {
 TEST(DyadHedgeTest, HedgedOverloadRunsAreSeedDeterministic) {
   workflow::EnsembleConfig cfg = base_ensemble_config();
   cfg.testbed.dyad.retry.enabled = true;
-  cfg.testbed.dyad.retry.lustre_fallback = true;
   cfg.testbed.dyad.health.enabled = true;
   cfg.testbed.dyad.health.hedge.enabled = true;
   cfg.testbed.faults =

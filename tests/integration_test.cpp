@@ -70,10 +70,10 @@ TEST(IntegrationTest, LustreMovesEveryByteThroughOsts) {
   LustreConnector cons(sim, tb.lustre(), net::NodeId{1}, sync, crec);
   sim.spawn([](Connector& p, Connector& c, Bytes fb) -> sim::Task<void> {
     for (std::uint64_t f = 0; f < 8; ++f) {
-      co_await p.put(frame_path(0, f), fb);
-      co_await c.get(frame_path(0, f), fb);
-      c.acknowledge();
-      co_await p.producer_sync();
+      co_await p.put(frame_path(0, f), fb, f);
+      co_await c.get(frame_path(0, f), fb, f);
+      c.acknowledge(f);
+      co_await p.producer_sync(f);
     }
   }(prod, cons, frame));
   sim.run_to_quiescence();

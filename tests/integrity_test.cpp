@@ -260,7 +260,9 @@ TEST(CrashConsistencyTest, LustreCloseAfterWriteIsDurableOpenIsNot) {
     EXPECT_EQ(co_await client.stat("committed"), Bytes::mib(2));
     const auto open_size = co_await client.stat("open");
     EXPECT_TRUE(open_size.has_value());
-    if (open_size.has_value()) EXPECT_LT(*open_size, Bytes::mib(2));
+    if (open_size.has_value()) {
+      EXPECT_LT(*open_size, Bytes::mib(2));
+    }
   }(tb));
   sim.run_to_quiescence();
 }
@@ -376,7 +378,6 @@ workflow::EnsembleConfig crash_flip_config(workflow::Solution s,
   c.testbed.faults = fault::make_scenario("crash-flip", shape);
   c.testbed.integrity.enabled = true;
   c.testbed.dyad.retry.enabled = true;
-  c.testbed.dyad.retry.lustre_fallback = true;
   return c;
 }
 

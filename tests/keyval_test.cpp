@@ -19,6 +19,20 @@ TEST(KeyValTest, ParsesArgs) {
   EXPECT_EQ(cfg.get_uint("frames", 0), 12u);
 }
 
+TEST(KeyValTest, EmptyKeyInArgsThrows) {
+  for (const char* arg : {"=3", " =3", "--=3"}) {
+    const char* argv[] = {"prog", "pairs=4", arg};
+    KeyValueConfig cfg;
+    try {
+      cfg.parse_args(3, argv);
+      FAIL() << "expected ConfigError for '" << arg << "'";
+    } catch (const ConfigError& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "empty key in argument '" + std::string(arg) + "'");
+    }
+  }
+}
+
 TEST(KeyValTest, ParsesStreamWithCommentsAndBlanks) {
   std::istringstream in(R"(
 # experiment config

@@ -70,9 +70,15 @@ TEST(KvsTest, WaitForBlocksUntilVisible) {
   TimePoint got_at;
   Duration idle;
   f.sim.spawn([](KvsFixture& fx, TimePoint& t, Duration& idle_out) -> Task<void> {
+    // DYAD's consumer pattern: look up, watch while absent, look up again.
     KvsClient reader(fx.sim, fx.server, net::NodeId{1});
-    const auto v = co_await reader.wait_for("k", &idle_out);
-    EXPECT_EQ(v.data, "v");
+    EXPECT_FALSE((co_await reader.lookup("k")).has_value());
+    const TimePoint blocked_at = fx.sim.now();
+    co_await reader.watch_until_visible("k");
+    idle_out = fx.sim.now() - blocked_at;
+    const auto v = co_await reader.lookup("k");
+    EXPECT_TRUE(v.has_value());
+    EXPECT_EQ(v.value_or(KvsValue{}).data, "v");
     t = fx.sim.now();
   }(f, got_at, idle));
   f.sim.spawn([](KvsFixture& fx) -> Task<void> {

@@ -184,23 +184,6 @@ TEST(NetworkTest, ManySendersShareReceiverNic) {
   EXPECT_NEAR(sim.now().to_seconds(), 0.4, 1e-6);
 }
 
-TEST(NetworkTest, RdmaGetStreamsFromOwner) {
-  Simulation sim;
-  NetworkParams p;
-  p.nic_bandwidth_bps = 1e9;
-  p.latency = 5_us;
-  p.control_message_size = Bytes(0);
-  Network net(sim, p, 2);
-  TimePoint done;
-  sim.spawn([](Simulation& s, Network& n, TimePoint& t) -> Task<void> {
-    co_await n.rdma_get(NodeId{0}, NodeId{1}, Bytes(2'000'000));
-    t = s.now();
-  }(sim, net, done));
-  sim.run_to_quiescence();
-  // Request latency 5us + response latency 5us + 2 MB / 1 GB/s = 2 ms.
-  EXPECT_EQ(done, TimePoint::origin() + 10_us + 2_ms);
-}
-
 TEST(NetworkTest, BisectionCapsAggregate) {
   Simulation sim;
   NetworkParams p;

@@ -360,7 +360,6 @@ TEST(ObsEnsembleTest, FaultWindowsAnnotateTheTrace) {
   shape.seed = config.base_seed;
   config.testbed.faults = fault::make_scenario("broker-outage", shape);
   config.testbed.dyad.retry.enabled = true;
-  config.testbed.dyad.retry.lustre_fallback = true;
   config.trace_path = testing::TempDir() + "obs_trace_fault.json";
   const auto r = workflow::run_ensemble(config);
 
@@ -453,7 +452,6 @@ TEST(ParseEnsembleConfigTest, FaultsEnableRetryAndRejectUnknown) {
   const auto config = workflow::parse_ensemble_config(cfg, {});
   EXPECT_FALSE(config.testbed.faults.empty());
   EXPECT_TRUE(config.testbed.dyad.retry.enabled);
-  EXPECT_TRUE(config.testbed.dyad.retry.lustre_fallback);
 
   KeyValueConfig bad;
   bad.set("solution", "nfs");

@@ -92,7 +92,7 @@ TEST(SimulationExtraTest, YieldRunsAfterQueuedSameTimeEvents) {
   std::vector<int> log;
   sim.spawn([](Simulation& s, std::vector<int>& l) -> Task<void> {
     l.push_back(1);
-    co_await s.yield();
+    co_await s.delay(Duration::zero());
     l.push_back(3);
   }(sim, log));
   sim.spawn([](std::vector<int>& l) -> Task<void> {
@@ -151,36 +151,6 @@ TEST(SemaphoreExtraTest, GuardMoveTransfersRelease) {
   }(sim, sem));
   sim.run_to_quiescence();
   EXPECT_EQ(sem.available(), 1);
-}
-
-TEST(QueueExtraTest, TryGetDrainsInOrder) {
-  Simulation sim;
-  Queue<int> q(sim);
-  EXPECT_FALSE(q.try_get().has_value());
-  EXPECT_TRUE(q.try_put(1));
-  EXPECT_TRUE(q.try_put(2));
-  EXPECT_EQ(q.try_get(), 1);
-  EXPECT_EQ(q.try_get(), 2);
-  EXPECT_FALSE(q.try_get().has_value());
-}
-
-TEST(QueueExtraTest, TryGetAdmitsBlockedPutter) {
-  Simulation sim;
-  Queue<int> q(sim, 1);
-  TimePoint unblocked;
-  sim.spawn([](Simulation& s, Queue<int>& qq, TimePoint& t) -> Task<void> {
-    co_await qq.put(1);
-    co_await qq.put(2);  // blocks (capacity 1)
-    t = s.now();
-  }(sim, q, unblocked));
-  sim.spawn([](Simulation& s, Queue<int>& qq) -> Task<void> {
-    co_await s.delay(5_us);
-    EXPECT_EQ(qq.try_get(), 1);  // frees a slot; putter resumes
-    co_await s.delay(5_us);
-    EXPECT_EQ(qq.try_get(), 2);
-  }(sim, q));
-  sim.run_to_quiescence();
-  EXPECT_EQ(unblocked, TimePoint::origin() + 5_us);
 }
 
 }  // namespace

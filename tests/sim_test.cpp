@@ -282,123 +282,6 @@ TEST(SemaphoreTest, ReleaseWithoutWaitersRestoresCount) {
   EXPECT_EQ(sem.available(), 3);
 }
 
-// --- Queue --------------------------------------------------------------------
-
-TEST(QueueTest, FifoDelivery) {
-  Simulation sim;
-  Queue<int> q(sim);
-  std::vector<int> got;
-  sim.spawn([](Queue<int>& qq, std::vector<int>& g) -> Task<void> {
-    for (int i = 0; i < 3; ++i) g.push_back(co_await qq.get());
-  }(q, got));
-  sim.spawn([](Simulation& s, Queue<int>& qq) -> Task<void> {
-    co_await s.delay(1_us);
-    co_await qq.put(10);
-    co_await qq.put(20);
-    co_await s.delay(1_us);
-    co_await qq.put(30);
-  }(sim, q));
-  sim.run_to_quiescence();
-  EXPECT_EQ(got, (std::vector<int>{10, 20, 30}));
-}
-
-TEST(QueueTest, GetBlocksUntilPut) {
-  Simulation sim;
-  Queue<int> q(sim);
-  TimePoint got_at;
-  sim.spawn([](Simulation& s, Queue<int>& qq, TimePoint& t) -> Task<void> {
-    (void)co_await qq.get();
-    t = s.now();
-  }(sim, q, got_at));
-  sim.spawn([](Simulation& s, Queue<int>& qq) -> Task<void> {
-    co_await s.delay(7_ms);
-    co_await qq.put(1);
-  }(sim, q));
-  sim.run_to_quiescence();
-  EXPECT_EQ(got_at, TimePoint::origin() + 7_ms);
-}
-
-TEST(QueueTest, BoundedPutBlocksUntilSpace) {
-  Simulation sim;
-  Queue<int> q(sim, 1);
-  TimePoint second_put_done;
-  sim.spawn([](Simulation& s, Queue<int>& qq, TimePoint& t) -> Task<void> {
-    co_await qq.put(1);
-    co_await qq.put(2);  // blocks: capacity 1
-    t = s.now();
-  }(sim, q, second_put_done));
-  sim.spawn([](Simulation& s, Queue<int>& qq) -> Task<void> {
-    co_await s.delay(4_ms);
-    EXPECT_EQ(co_await qq.get(), 1);
-    EXPECT_EQ(co_await qq.get(), 2);
-  }(sim, q));
-  sim.run_to_quiescence();
-  EXPECT_EQ(second_put_done, TimePoint::origin() + 4_ms);
-}
-
-TEST(QueueTest, TryPutRespectsCapacity) {
-  Simulation sim;
-  Queue<int> q(sim, 2);
-  EXPECT_TRUE(q.try_put(1));
-  EXPECT_TRUE(q.try_put(2));
-  EXPECT_FALSE(q.try_put(3));
-  EXPECT_EQ(q.size(), 2u);
-}
-
-// --- Barrier -------------------------------------------------------------------
-
-TEST(BarrierTest, ReleasesWhenAllArrive) {
-  Simulation sim;
-  Barrier b(sim, 3);
-  std::vector<TimePoint> released(3);
-  std::vector<Task<void>> tasks;
-  for (int i = 0; i < 3; ++i) {
-    tasks.push_back([](Simulation& s, Barrier& bar, TimePoint& out,
-                       int id) -> Task<void> {
-      co_await s.delay(Duration::milliseconds(id * 10));
-      co_await bar.arrive_and_wait();
-      out = s.now();
-    }(sim, b, released[i], i));
-  }
-  sim.spawn(all(sim, std::move(tasks)));
-  sim.run_to_quiescence();
-  // Everyone released at the time of the slowest arriver.
-  for (const auto& t : released) {
-    EXPECT_EQ(t, TimePoint::origin() + 20_ms);
-  }
-}
-
-TEST(BarrierTest, IsReusableAcrossGenerations) {
-  Simulation sim;
-  Barrier b(sim, 2);
-  std::vector<int> log;
-  auto worker = [](Simulation& s, Barrier& bar, std::vector<int>& l, int id,
-                   Duration pace) -> Task<void> {
-    for (int round = 0; round < 3; ++round) {
-      co_await s.delay(pace);
-      co_await bar.arrive_and_wait();
-      if (id == 0) l.push_back(round);
-    }
-  };
-  sim.spawn(worker(sim, b, log, 0, 1_ms));
-  sim.spawn(worker(sim, b, log, 1, 5_ms));
-  sim.run_to_quiescence();
-  EXPECT_EQ(log, (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(sim.now(), TimePoint::origin() + 15_ms);
-}
-
-TEST(BarrierTest, SingleParticipantNeverBlocks) {
-  Simulation sim;
-  Barrier b(sim, 1);
-  bool done = false;
-  sim.spawn([](Barrier& bar, bool& d) -> Task<void> {
-    co_await bar.arrive_and_wait();
-    d = true;
-  }(b, done));
-  sim.run_to_quiescence();
-  EXPECT_TRUE(done);
-}
-
 // --- WaitGroup -------------------------------------------------------------------
 
 TEST(WaitGroupTest, WaitsForAllDone) {
@@ -491,31 +374,32 @@ TEST(AllTest, EmptyVectorCompletesImmediately) {
 TEST(DeterminismTest, IdenticalRunsProduceIdenticalTraces) {
   auto run_once = [] {
     Simulation sim;
-    Queue<int> q(sim);
     Semaphore sem(sim, 2);
+    WaitGroup wg(sim);
+    wg.add(5);
     std::vector<std::pair<std::int64_t, int>> trace;
     for (int i = 0; i < 5; ++i) {
-      sim.spawn([](Simulation& s, Queue<int>& qq, Semaphore& sm,
+      sim.spawn([](Simulation& s, Semaphore& sm, WaitGroup& w,
                    std::vector<std::pair<std::int64_t, int>>& tr,
                    int id) -> Task<void> {
         co_await sm.acquire();
         co_await s.delay(Duration::microseconds(id * 3 + 1));
         sm.release();
-        co_await qq.put(id);
         tr.emplace_back(s.now().ns(), id);
-      }(sim, q, sem, trace, i));
+        w.done();
+      }(sim, sem, wg, trace, i));
     }
-    sim.spawn([](Queue<int>& qq,
+    sim.spawn([](Simulation& s, WaitGroup& w,
                  std::vector<std::pair<std::int64_t, int>>& tr) -> Task<void> {
-      for (int i = 0; i < 5; ++i) {
-        const int v = co_await qq.get();
-        tr.emplace_back(-1, v);
-      }
-    }(q, trace));
+      co_await w.wait();
+      tr.emplace_back(s.now().ns(), -1);
+    }(sim, wg, trace));
     sim.run_to_quiescence();
     return trace;
   };
-  EXPECT_EQ(run_once(), run_once());
+  const auto first = run_once();
+  EXPECT_EQ(first.size(), 6u);
+  EXPECT_EQ(first, run_once());
 }
 
 }  // namespace

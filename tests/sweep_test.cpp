@@ -40,7 +40,6 @@ EnsembleConfig small_config(Solution s, std::uint32_t pairs,
 EnsembleConfig cancellation_heavy_config() {
   EnsembleConfig c = small_config(Solution::kDyad, 2, 2);
   c.testbed.dyad.retry.enabled = true;
-  c.testbed.dyad.retry.lustre_fallback = true;
   c.testbed.dyad.health.enabled = true;
   c.testbed.dyad.health.hedge.enabled = true;
   c.testbed.faults =
@@ -55,7 +54,6 @@ EnsembleConfig cancellation_heavy_config() {
 EnsembleConfig poisoned_config() {
   EnsembleConfig c = small_config(Solution::kDyad, 1, 2, 4);
   c.testbed.dyad.retry.enabled = false;
-  c.testbed.dyad.retry.lustre_fallback = false;
   c.workload.start_stagger = 0.0;  // first publish lands at ~0.82 s
   c.testbed.kvs.visibility_delay = Duration::seconds_i(5);
   c.testbed.faults.windows.push_back(fault::FaultWindow{

@@ -36,7 +36,8 @@
 // parse_ensemble_config from the keys mdwf_run would get for that run:
 // solution=, workload=, faults= (unless the scenario is none) and the keys
 // from nodes to dag_scale above, nodes left out for xfs.  A value mdwf_run
-// rejects is rejected here with the same message.
+// rejects is rejected here with the same message.  An empty or repeated
+// entry in workloads=, solutions= or scenarios= is rejected before any run.
 //
 // CSV schema (one row per workload x scenario, input order):
 //   workflow,scenario,tasks,edge_frames,recommendation,fetch_p99_us,
@@ -75,21 +76,31 @@ int fail(const std::string& msg) {
   return 1;
 }
 
-std::vector<std::string> split_list(const std::string& text) {
+// Splits the comma-separated value of `key`, trimming spaces around each
+// entry.  An empty list, an empty entry or an entry given twice is a
+// ConfigError naming the key.
+std::vector<std::string> split_list(std::string_view key,
+                                    const std::string& text) {
+  if (text.empty()) throw ConfigError(std::string(key) + " is empty");
   std::vector<std::string> out;
   std::size_t start = 0;
-  while (start <= text.size()) {
+  while (true) {
     const std::size_t comma = text.find(',', start);
     const std::size_t end = comma == std::string::npos ? text.size() : comma;
     std::string item = text.substr(start, end - start);
-    // Trim surrounding spaces so "a, b" parses as expected.
     while (!item.empty() && item.front() == ' ') item.erase(item.begin());
     while (!item.empty() && item.back() == ' ') item.pop_back();
-    if (!item.empty()) out.push_back(std::move(item));
-    if (comma == std::string::npos) break;
+    if (item.empty()) {
+      throw ConfigError(std::string(key) + " has an empty entry in '" +
+                        text + "'");
+    }
+    if (std::find(out.begin(), out.end(), item) != out.end()) {
+      throw ConfigError(std::string(key) + " lists '" + item + "' twice");
+    }
+    out.push_back(std::move(item));
+    if (comma == std::string::npos) return out;
     start = comma + 1;
   }
-  return out;
 }
 
 struct Recommendation {
@@ -124,14 +135,12 @@ int main(int argc, char** argv) {
           "workloads is required: comma-separated wfcommons:<file> or "
           "synth:<topology> references");
     }
-    const std::vector<std::string> workload_refs = split_list(workloads_key);
-    const std::vector<std::string> solution_names =
-        split_list(cfg.get_string("solutions", "dyad,lustre,stream"));
+    const std::vector<std::string> workload_refs =
+        split_list("workloads", workloads_key);
+    const std::vector<std::string> solution_names = split_list(
+        "solutions", cfg.get_string("solutions", "dyad,lustre,stream"));
     const std::vector<std::string> scenarios =
-        split_list(cfg.get_string("scenarios", "none"));
-    if (workload_refs.empty()) throw ConfigError("workloads is empty");
-    if (solution_names.empty()) throw ConfigError("solutions is empty");
-    if (scenarios.empty()) throw ConfigError("scenarios is empty");
+        split_list("scenarios", cfg.get_string("scenarios", "none"));
     if (solution_names.size() < 2) {
       throw ConfigError(
           "solutions needs at least two candidates to rank, got '" +
