@@ -26,7 +26,7 @@
 // schedules= says.
 //
 // threads=N fans the independent schedule checks across the sweep engine's
-// work-stealing pool; the canonically-first (lowest-index) violation is
+// workers (sweep::run_tasks); the canonically-first (lowest-index) violation is
 // reported and shrunk regardless of which worker found it first, so output
 // and exit code match the serial run.
 //

@@ -20,24 +20,19 @@
 // published values, or a sweep's CSV and summary lines.  stdout is
 // byte-identical for every threads= value; the host-dependent numbers
 // (Table I's codec throughput, the scale sweep's wall time) go to stderr.
-// MDWF_CSV_DIR=<dir> also dumps each case's aggregated consumer call tree
-// to <dir>/<label>.csv.
 //
 // The solution-frontier, co-tenant and membership reports gate their
 // findings: each failed check prints one "figures: <name>: FAILED <what>"
 // line on stderr.
 //
 // Exit code 0 on success; 1 when a case fails (at once) or a gate fails
-// (after every named report has printed); 2 on an unknown name, no name,
-// or a bad key (one stderr line each).
+// (after every named report has printed); 2 on an unknown or repeated
+// name, no name, or a bad key (one stderr line each).
 #include <algorithm>
 #include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <initializer_list>
 #include <map>
 #include <span>
@@ -1630,21 +1625,6 @@ void bind_keys(const KeyValueConfig& cfg, std::vector<Case>& cases) {
   }
 }
 
-// With MDWF_CSV_DIR set, each case dumps its aggregated consumer call tree
-// for external plotting.
-void maybe_export_csv(const std::string& label, const EnsembleResult& result) {
-  const char* dir = std::getenv("MDWF_CSV_DIR");
-  if (dir == nullptr || *dir == '\0') return;
-  std::filesystem::create_directories(dir);
-  std::string name = label;
-  for (char& ch : name) {
-    if (ch == '/' || ch == ' ') ch = '_';
-  }
-  std::ofstream out(std::filesystem::path(dir) / (name + ".csv"));
-  if (!out) return;
-  out << result.thicket.filter("role", "consumer").aggregate().to_csv();
-}
-
 // Runs the figure's cases as one sweep on the parallel replica runner (each
 // (case, repetition) on one of the `threads=` workers, byte-identical
 // results for every thread count) and prints each case's means.  False,
@@ -1667,7 +1647,6 @@ bool run_cases(Run& run) {
         p.label.c_str(), r.prod_movement_us.mean(), r.prod_idle_us.mean(),
         r.cons_movement_us.mean(), r.cons_idle_us.mean(),
         r.makespan_s.mean());
-    maybe_export_csv(p.label, r);
   }
   return true;
 }
@@ -1692,6 +1671,9 @@ int main(int argc, char** argv) {
       if (it == std::end(kFigures)) {
         throw ConfigError("unknown figure '" + name + "'" +
                           did_you_mean(name, names));
+      }
+      if (std::ranges::count(wanted, name) > 1) {
+        throw ConfigError("figure '" + name + "' named twice");
       }
       runs.push_back({it, Run{it->name, it->cases(), {}}});
     }

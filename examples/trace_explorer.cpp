@@ -34,8 +34,8 @@ int main(int argc, char** argv) {
   std::printf("consumer-only records: %zu\n", consumers.size());
 
   // 3. Path query (Hatchet-style): '*' one segment, '**' any depth.
-  perf::StatTree agg;
-  const auto hits = consumers.query(query, agg);
+  const perf::StatTree agg = consumers.aggregate();
+  const auto hits = agg.query(query);
   std::printf("\nquery '%s' -> %zu match(es):\n", query.c_str(), hits.size());
   for (const auto& [path, node] : hits) {
     std::printf("  %-50s %10.1f +/- %.1f us  (steady per call: %.1f us)\n",

@@ -43,7 +43,6 @@ class Duration {
 
   constexpr std::int64_t ns() const { return ns_; }
   constexpr double to_seconds() const { return static_cast<double>(ns_) * 1e-9; }
-  constexpr double to_millis() const { return static_cast<double>(ns_) * 1e-6; }
   constexpr double to_micros() const { return static_cast<double>(ns_) * 1e-3; }
 
   constexpr bool is_zero() const { return ns_ == 0; }

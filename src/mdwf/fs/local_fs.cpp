@@ -1,5 +1,7 @@
 #include "mdwf/fs/local_fs.hpp"
 
+#include <new>
+
 #include "mdwf/common/assert.hpp"
 
 namespace mdwf::fs {
@@ -10,7 +12,7 @@ LocalFs::LocalFs(sim::Simulation& sim, const LocalFsParams& params,
       params_(params),
       device_(&device),
       cache_(&cache),
-      allocator_(device.params().capacity) {}
+      free_(device.params().capacity) {}
 
 LocalFs::Inode& LocalFs::inode(InodeId ino) {
   auto it = inodes_.find(ino);
@@ -67,7 +69,7 @@ sim::Task<void> LocalFs::unlink(const std::string& path) {
   const auto it = by_path_.find(path);
   if (it == by_path_.end()) throw FsError("unlink: no such file: " + path);
   Inode& node = inode(it->second);
-  allocator_.release(node.extents);
+  free_ += node.allocated;
   cache_->drop(node.id);
   inodes_.erase(node.id);
   by_path_.erase(it);
@@ -89,10 +91,10 @@ sim::Task<void> LocalFs::write(InodeId ino, Bytes offset, Bytes len) {
   if (len.is_zero()) co_return;
   const Bytes end = offset + len;
   if (end > node.allocated) {
-    // Extending write: allocate and journal the extent map update.
+    // Extending write: allocate and journal the size update.
     const Bytes grow = round_up_alloc(end - node.allocated);
-    auto extents = allocator_.allocate(grow);
-    node.extents.insert(node.extents.end(), extents.begin(), extents.end());
+    if (grow > free_) throw std::bad_alloc();
+    free_ -= grow;
     node.allocated += grow;
     co_await metadata_op();
     co_await journal_commit();

@@ -4,8 +4,9 @@
 //   - metadata CPU per namespace operation (inode/dentry update),
 //   - journal commits (log-record device writes) for create/extend/unlink,
 //   - buffered data I/O through the page cache (memcpy; device on miss,
-//     eviction, or fsync),
-//   - extent allocation on append (first-fit allocator).
+//     eviction, or fsync).
+// Space is one free-byte total: an extending write takes its growth,
+// rounded up to the allocation unit, and unlink gives the file's back.
 // Contents are not stored — files are byte ranges with sizes; payload
 // integrity is modelled above this layer (`integrity::Ledger`).
 //
@@ -19,10 +20,8 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "mdwf/common/bytes.hpp"
-#include "mdwf/fs/extent_allocator.hpp"
 #include "mdwf/fs/file_lock.hpp"
 #include "mdwf/storage/block_device.hpp"
 #include "mdwf/storage/page_cache.hpp"
@@ -40,7 +39,7 @@ struct LocalFsParams {
   // Journal log record size; every journaled transaction writes one record
   // to the device synchronously.
   Bytes journal_record = Bytes::kib(4);
-  // Allocation granularity (extent size rounding).
+  // Allocation granularity: an extending write reserves whole units.
   Bytes allocation_unit = Bytes::kib(64);
   // O_DIRECT-style I/O: bypass the page cache, every read/write hits the
   // device (ablation: node-local staging without buffered-I/O benefits).
@@ -74,8 +73,9 @@ class LocalFs {
 
   // --- Data ------------------------------------------------------------------
 
-  // Appends/overwrites [offset, offset+len); extends and allocates extents
-  // as needed (journaled).
+  // Appends/overwrites [offset, offset+len); an extending write allocates
+  // space (journaled) and throws std::bad_alloc, changing nothing, when the
+  // device is full.
   sim::Task<void> write(InodeId ino, Bytes offset, Bytes len);
   // Reads [offset, offset+len); throws FsError past EOF.
   sim::Task<void> read(InodeId ino, Bytes offset, Bytes len);
@@ -97,11 +97,9 @@ class LocalFs {
 
   // --- Introspection -----------------------------------------------------------
 
-  std::size_t file_count() const { return by_path_.size(); }
-  Bytes free_bytes() const { return allocator_.free_bytes(); }
+  Bytes free_bytes() const { return free_; }
   std::uint64_t journal_commits() const { return journal_commits_; }
   std::uint64_t torn_files() const { return torn_files_; }
-  const ExtentAllocator& allocator() const { return allocator_; }
 
  private:
   struct Inode {
@@ -110,7 +108,6 @@ class LocalFs {
     // High-water mark of fsync'd (power-loss-safe) bytes.
     Bytes durable = Bytes::zero();
     Bytes allocated = Bytes::zero();
-    std::vector<Extent> extents;
     std::unique_ptr<FileLock> lock;
   };
 
@@ -124,7 +121,7 @@ class LocalFs {
   LocalFsParams params_;
   storage::BlockDevice* device_;
   storage::PageCache* cache_;
-  ExtentAllocator allocator_;
+  Bytes free_;
   std::map<std::string, InodeId> by_path_;
   std::map<InodeId, Inode> inodes_;
   InodeId next_inode_ = 1;

@@ -181,7 +181,6 @@ class CircuitBreaker {
   State state() const { return state_; }
   // Transitions into kOpen (both initial trips and failed half-open probes).
   std::uint64_t trips() const { return trips_; }
-  std::uint32_t consecutive_failures() const { return consecutive_failures_; }
 
  private:
   void open(TimePoint now);

@@ -51,11 +51,6 @@ std::uint32_t TenantQuota::tenant_of(net::NodeId node) const {
   return node_tenant_[node.value];
 }
 
-const std::string& TenantQuota::tenant_name(std::uint32_t t) const {
-  MDWF_ASSERT(t < tenants_.size());
-  return tenants_[t].name;
-}
-
 double TenantQuota::weight(std::uint32_t t) const {
   MDWF_ASSERT(t < tenants_.size());
   return tenants_[t].weight;
@@ -163,14 +158,6 @@ std::uint64_t TenantQuota::releases(QuotaResource r,
 std::uint64_t TenantQuota::sheds(QuotaResource r, std::uint32_t tenant) const {
   MDWF_ASSERT(tenant < tenants_.size());
   return tenants_[tenant].sheds[static_cast<std::size_t>(r)];
-}
-
-std::uint64_t TenantQuota::sheds_total(std::uint32_t tenant) const {
-  std::uint64_t total = 0;
-  for (std::size_t r = 0; r < kQuotaResources; ++r) {
-    total += tenants_[tenant].sheds[r];
-  }
-  return total;
 }
 
 std::uint64_t TenantQuota::admits_total(std::uint32_t tenant) const {

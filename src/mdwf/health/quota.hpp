@@ -54,8 +54,6 @@ class TenantQuota {
                  std::uint32_t tenant);
 
   std::uint32_t tenant_of(net::NodeId node) const;
-  std::size_t tenant_count() const { return tenants_.size(); }
-  const std::string& tenant_name(std::uint32_t t) const;
   double weight(std::uint32_t t) const;
   // Effective fair-share weight: the configured weight scaled by the
   // fraction of the tenant's mapped nodes still alive.  Equal to weight()
@@ -87,7 +85,6 @@ class TenantQuota {
   std::uint64_t admits(QuotaResource r, std::uint32_t tenant) const;
   std::uint64_t releases(QuotaResource r, std::uint32_t tenant) const;
   std::uint64_t sheds(QuotaResource r, std::uint32_t tenant) const;
-  std::uint64_t sheds_total(std::uint32_t tenant) const;
   std::uint64_t admits_total(std::uint32_t tenant) const;
 
  private:

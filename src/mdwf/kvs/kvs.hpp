@@ -68,7 +68,6 @@ class KvsServer {
   // the matching end call.  Nested windows stack.
   void fault_stall_begin();
   void fault_stall_end();
-  bool stalled() const { return stall_depth_ > 0; }
 
   // Broker outage: a stall plus state loss — commits applied but not yet
   // *visible* are dropped (the Flux commit pipeline between apply and

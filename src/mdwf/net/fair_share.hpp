@@ -59,7 +59,6 @@ class FairShareChannel {
   // Fraction of capacity stolen by modelled background load (interference
   // from other cluster jobs).  Applies to future progress immediately.
   void set_background_load(double fraction);
-  double background_load() const { return background_load_; }
 
   // Lifetime totals for conservation checks and utilization reports.
   Bytes total_requested() const { return total_requested_; }

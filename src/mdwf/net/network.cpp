@@ -56,11 +56,6 @@ void Network::set_link_isolated(NodeId n, bool isolated) {
   nodes_[n.value].tx_down = isolated;
 }
 
-bool Network::link_isolated(NodeId n) const {
-  MDWF_ASSERT(n.value < nodes_.size());
-  return nodes_[n.value].tx_down;
-}
-
 std::size_t Network::crash_node(NodeId n) {
   set_link_down(n, true);
   return tx(n).abort_active() + rx(n).abort_active();
@@ -70,11 +65,6 @@ void Network::set_link_loss(NodeId n, double p) {
   MDWF_ASSERT(n.value < nodes_.size());
   MDWF_ASSERT(p >= 0.0 && p < 1.0);
   nodes_[n.value].loss = p;
-}
-
-double Network::link_loss(NodeId n) const {
-  MDWF_ASSERT(n.value < nodes_.size());
-  return nodes_[n.value].loss;
 }
 
 void Network::check_reachable(NodeId src, NodeId dst) const {

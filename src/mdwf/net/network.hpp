@@ -91,7 +91,6 @@ class Network {
   // arrives.  This is the zombie shape: the node keeps working locally and
   // hears nothing back, while the controller stops hearing its heartbeats.
   void set_link_isolated(NodeId n, bool isolated);
-  bool link_isolated(NodeId n) const;
   // Node power loss: the link goes down AND every in-flight flow on the
   // node's NIC is torn mid-transfer (each waiting peer gets a NetError).
   // Returns the number of flows torn.  `set_link_down(n, false)` restores.
@@ -104,7 +103,6 @@ class Network {
   // Draws happen only while a lossy window is active, preserving the
   // determinism of loss-free runs.
   void set_link_loss(NodeId n, double p);
-  double link_loss(NodeId n) const;
   // Reseeds the retransmit RNG (mdwf::fault wires the plan seed here).
   void seed_loss(Rng rng) { loss_rng_ = rng; }
   Bytes retransmitted() const { return retransmitted_; }

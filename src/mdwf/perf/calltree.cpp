@@ -71,16 +71,6 @@ std::vector<std::string_view> split_path(std::string_view path) {
   return out;
 }
 
-void merge_into(CallNode& dst, const CallNode& src) {
-  dst.count += src.count;
-  dst.inclusive += src.inclusive;
-  if (src.max_single > dst.max_single) dst.max_single = src.max_single;
-  if (dst.category == Category::kOther) dst.category = src.category;
-  for (const auto& sc : src.children) {
-    merge_into(dst.child(sc->name, sc->category), *sc);
-  }
-}
-
 Duration category_sum(const CallNode& node, Category cat) {
   if (node.category == cat) return node.inclusive;
   Duration d = Duration::zero();
@@ -97,10 +87,6 @@ const CallNode* CallTree::find(std::string_view path) const {
     if (node == nullptr) return nullptr;
   }
   return node;
-}
-
-void CallTree::merge(const CallTree& other) {
-  merge_into(*root_, other.root());
 }
 
 Duration CallTree::category_time(std::string_view path, Category cat) const {

@@ -3,8 +3,8 @@
 // A `CallTree` is the per-process record of annotated regions: each node
 // carries the region name, a cost category (the paper decomposes every bar
 // into *data movement* and *idle* time), a call count, and total inclusive
-// virtual time.  Trees from many processes/runs are merged or aggregated by
-// the Thicket layer.
+// virtual time.  Trees from many processes/runs are aggregated by the
+// Thicket layer.
 #pragma once
 
 #include <cstdint>
@@ -62,9 +62,6 @@ class CallTree {
 
   // Follows a '/'-separated path from the root; nullptr when absent.
   const CallNode* find(std::string_view path) const;
-
-  // Accumulates `other` into this tree node-by-node (matched by path).
-  void merge(const CallTree& other);
 
   // Sum of `inclusive` over every node in the subtree at `path` whose
   // category matches `cat` and whose ancestors within the subtree do not

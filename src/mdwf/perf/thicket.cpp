@@ -220,10 +220,4 @@ StatTree Thicket::aggregate() const {
   return t;
 }
 
-std::vector<std::pair<std::string, const StatNode*>> Thicket::query(
-    std::string_view pattern, StatTree& out) const {
-  out = aggregate();
-  return out.query(pattern);
-}
-
 }  // namespace mdwf::perf

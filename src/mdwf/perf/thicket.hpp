@@ -98,12 +98,6 @@ class Thicket {
   // Node-wise statistics across every record in this thicket.
   StatTree aggregate() const;
 
-  // Query over every record's tree: matching nodes pooled into stats keyed
-  // by path (equivalent to aggregate() then StatTree::query, provided for
-  // convenience).
-  std::vector<std::pair<std::string, const StatNode*>> query(
-      std::string_view pattern, StatTree& out) const;
-
  private:
   std::vector<TreeRecord> records_;
 };

@@ -74,7 +74,6 @@ class BlockDevice {
   // `factor` (>= 1) and both bandwidth channels slow by the same factor.
   // 1.0 restores nominal speed.
   void set_fault_slowdown(double factor);
-  double fault_slowdown() const { return slowdown_; }
 
   std::uint64_t reads_completed() const { return reads_; }
   std::uint64_t writes_completed() const { return writes_; }

@@ -1,79 +1,19 @@
 #include "mdwf/sweep/sweep.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <deque>
 #include <exception>
 #include <functional>
-#include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 
-#include "mdwf/common/assert.hpp"
-
 namespace mdwf::sweep {
 namespace {
-
-// Work-stealing task pool for a fixed batch: tasks are dealt round-robin
-// onto per-worker deques up front; an owner pops its own newest task
-// (LIFO keeps the deal's cache-warm tail local), a thief takes a victim's
-// oldest (FIFO minimizes contention on the victim's hot end).  Tasks never
-// spawn tasks, so a worker that finds every deque empty is done for good.
-// Determinism needs nothing from the pool — tasks write to pre-sized slots
-// and the caller folds slots in canonical order.
-class TaskPool {
- public:
-  static void run(std::vector<std::function<void()>>&& tasks,
-                  unsigned threads) {
-    if (threads <= 1 || tasks.size() <= 1) {
-      for (auto& t : tasks) t();
-      return;
-    }
-    const auto n = static_cast<unsigned>(
-        std::min<std::size_t>(threads, tasks.size()));
-    std::vector<Queue> queues(n);
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      queues[i % n].tasks.push_back(std::move(tasks[i]));
-    }
-    std::vector<std::thread> workers;
-    workers.reserve(n);
-    for (unsigned w = 0; w < n; ++w) {
-      workers.emplace_back([&queues, n, w] { work(queues, n, w); });
-    }
-    for (auto& t : workers) t.join();
-  }
-
- private:
-  struct Queue {
-    std::mutex mu;
-    std::deque<std::function<void()>> tasks;
-  };
-
-  static void work(std::vector<Queue>& queues, unsigned n, unsigned self) {
-    for (;;) {
-      std::function<void()> task;
-      {
-        Queue& own = queues[self];
-        const std::lock_guard<std::mutex> lock(own.mu);
-        if (!own.tasks.empty()) {
-          task = std::move(own.tasks.back());
-          own.tasks.pop_back();
-        }
-      }
-      for (unsigned k = 1; !task && k < n; ++k) {
-        Queue& victim = queues[(self + k) % n];
-        const std::lock_guard<std::mutex> lock(victim.mu);
-        if (!victim.tasks.empty()) {
-          task = std::move(victim.tasks.front());
-          victim.tasks.pop_front();
-        }
-      }
-      if (!task) return;
-      task();
-    }
-  }
-};
 
 // One repetition's landing slot: exactly one of `out`/`err` is set after the
 // task ran.
@@ -128,42 +68,23 @@ unsigned resolve_threads(std::uint32_t requested) {
 
 void run_tasks(std::vector<std::function<void()>> tasks,
                std::uint32_t threads) {
-  TaskPool::run(std::move(tasks), resolve_threads(threads));
-}
-
-workflow::EnsembleResult run_ensemble(const workflow::EnsembleConfig& config) {
-  const unsigned threads = resolve_threads(config.threads);
-  if (threads <= 1 || config.repetitions <= 1) {
-    return workflow::run_ensemble(config);
+  const std::size_t workers =
+      std::min<std::size_t>(resolve_threads(threads), tasks.size());
+  if (workers <= 1) {
+    for (auto& t : tasks) t();
+    return;
   }
-  obs::TraceSink trace_sink;  // rep 0 only: no cross-thread sharing
-  const bool tracing = !config.trace_path.empty();
-  std::vector<RepSlot> slots(config.repetitions);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(config.repetitions);
-  for (std::uint32_t rep = 0; rep < config.repetitions; ++rep) {
-    tasks.push_back(make_rep_task(
-        config, rep, (tracing && rep == 0) ? &trace_sink : nullptr,
-        slots[rep]));
+  std::atomic<std::size_t> next{0};
+  std::vector<std::jthread> pool;  // joins every worker on scope exit
+  pool.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w) {
+    pool.emplace_back([&tasks, &next] {
+      for (std::size_t i = next++; i < tasks.size(); i = next++) tasks[i]();
+    });
   }
-  TaskPool::run(std::move(tasks), threads);
-
-  workflow::EnsembleResult result = workflow::make_ensemble_result();
-  for (RepSlot& slot : slots) {
-    // Lowest failing repetition wins, exactly as the serial loop (which
-    // would never have reached the later repetitions at all).
-    if (slot.err) std::rethrow_exception(slot.err);
-    fold_repetition(result, std::move(*slot.out));
-  }
-  if (tracing) {
-    result.counters.set("trace_events", trace_sink.event_count());
-    trace_sink.write(config.trace_path);
-  }
-  return result;
 }
 
 SweepResult run_sweep(std::vector<SweepPoint> grid, std::uint32_t threads) {
-  const unsigned workers = resolve_threads(threads);
   const auto start = std::chrono::steady_clock::now();
 
   // Per-point repetition slots plus a per-point trace sink (rep 0 of each
@@ -182,7 +103,7 @@ SweepResult run_sweep(std::vector<SweepPoint> grid, std::uint32_t threads) {
           slots[p][rep]));
     }
   }
-  TaskPool::run(std::move(tasks), workers);
+  run_tasks(std::move(tasks), threads);
 
   SweepResult sweep;
   sweep.points.reserve(grid.size());
@@ -216,6 +137,13 @@ SweepResult run_sweep(std::vector<SweepPoint> grid, std::uint32_t threads) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   return sweep;
+}
+
+workflow::EnsembleResult run_ensemble(const workflow::EnsembleConfig& config) {
+  SweepResult sweep = run_sweep({{"", config}}, config.threads);
+  PointResult& point = sweep.points.front();
+  if (point.failed()) throw std::runtime_error(point.error_text);
+  return std::move(point.result);
 }
 
 std::string SweepResult::to_csv() const {

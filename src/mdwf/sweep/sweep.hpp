@@ -4,9 +4,9 @@
 // plan — with seeded repetitions at every point.  Each repetition already
 // runs in its own Simulation with seeds derived only from (base_seed, rep)
 // (see workflow::run_repetition), so the grid fans perfectly across cores:
-// a work-stealing pool executes every (point, repetition) task on whatever
-// worker is free, results land in pre-sized slots, and the fold walks the
-// slots in canonical (grid-point, repetition) order.  Merged output is
+// each worker claims the next unrun (point, repetition) task from one shared
+// counter, results land in pre-sized slots, and the fold walks the slots in
+// canonical (grid-point, repetition) order.  Merged output is
 // therefore byte-identical for every thread count, including threads=1 —
 // parallelism changes wall-clock time and nothing else
 // (tests/sweep_test.cpp pins this contract).
@@ -29,10 +29,11 @@ namespace mdwf::sweep {
 // (0 = all hardware threads; hardware_concurrency() == 0 falls back to 1).
 unsigned resolve_threads(std::uint32_t requested);
 
-// Runs a batch of independent tasks on the same work-stealing pool the
-// replica runner uses; blocks until every task has completed.  Tasks must
-// not throw (wrap and capture) and must not enqueue further tasks.  With
-// threads <= 1 the tasks run inline in order.
+// Runs a fixed batch of independent tasks on min(threads, tasks) workers,
+// each taking the next unclaimed index until none is left; blocks until
+// every task has completed.  Tasks must not throw (wrap and capture).  With
+// one worker the tasks run inline in index order.  threads as in
+// resolve_threads.
 void run_tasks(std::vector<std::function<void()>> tasks,
                std::uint32_t threads);
 
@@ -76,10 +77,10 @@ struct SweepResult {
 // in canonical order.  threads as in resolve_threads.
 SweepResult run_sweep(std::vector<SweepPoint> grid, std::uint32_t threads);
 
-// Drop-in parallel workflow::run_ensemble honoring config.threads: the
-// seeded repetitions fan across workers and fold in repetition order, so
-// the result is byte-identical to the serial library call.  A repetition
-// failure rethrows the canonically-first error, as the serial loop would.
+// Drop-in parallel workflow::run_ensemble honoring config.threads: a
+// one-point run_sweep, so the result is byte-identical to the serial
+// library call.  A failed repetition throws std::runtime_error carrying the
+// canonically-first failure's message, as the serial loop would.
 workflow::EnsembleResult run_ensemble(const workflow::EnsembleConfig& config);
 
 }  // namespace mdwf::sweep

@@ -153,11 +153,11 @@ TEST(ThicketExtraTest, QueryWildcardsOnDeepTrees) {
   sim.run_to_quiescence();
   perf::Thicket th;
   th.add({}, rec.snapshot());
-  perf::StatTree agg;
-  EXPECT_EQ(th.query("**", agg).size(), 4u);
-  EXPECT_EQ(th.query("consume/*", agg).size(), 1u);
-  EXPECT_EQ(th.query("**/dyad_*", agg).size(), 0u);  // no glob within name
-  EXPECT_EQ(th.query("consume/**/dyad_watch_wait", agg).size(), 1u);
+  const perf::StatTree agg = th.aggregate();
+  EXPECT_EQ(agg.query("**").size(), 4u);
+  EXPECT_EQ(agg.query("consume/*").size(), 1u);
+  EXPECT_EQ(agg.query("**/dyad_*").size(), 0u);  // no glob within name
+  EXPECT_EQ(agg.query("consume/**/dyad_watch_wait").size(), 1u);
 }
 
 TEST(StatsExtraTest, RunningStatsMinMaxAcrossMerge) {

@@ -1,12 +1,12 @@
-// Unit and property tests for the filesystem layer: extent allocator, file
-// locks, the XFS-like local filesystem, and the Lustre model.
+// Unit and property tests for the filesystem layer: file locks, the
+// XFS-like local filesystem, and the Lustre model.
 #include <gtest/gtest.h>
 
+#include <new>
 #include <vector>
 
 #include "mdwf/common/rng.hpp"
 #include "mdwf/common/time.hpp"
-#include "mdwf/fs/extent_allocator.hpp"
 #include "mdwf/fs/file_lock.hpp"
 #include "mdwf/fs/interference.hpp"
 #include "mdwf/fs/local_fs.hpp"
@@ -19,101 +19,6 @@ namespace {
 using namespace mdwf::literals;
 using sim::Simulation;
 using sim::Task;
-
-// --- ExtentAllocator ---------------------------------------------------------
-
-TEST(ExtentAllocatorTest, AllocatesContiguouslyWhenPossible) {
-  ExtentAllocator a(Bytes(1000));
-  const auto e1 = a.allocate(Bytes(100));
-  ASSERT_EQ(e1.size(), 1u);
-  EXPECT_EQ(e1[0], (Extent{0, 100}));
-  const auto e2 = a.allocate(Bytes(200));
-  ASSERT_EQ(e2.size(), 1u);
-  EXPECT_EQ(e2[0], (Extent{100, 200}));
-  EXPECT_EQ(a.free_bytes(), Bytes(700));
-  EXPECT_TRUE(a.invariants_hold());
-}
-
-TEST(ExtentAllocatorTest, ReleaseCoalesces) {
-  ExtentAllocator a(Bytes(1000));
-  const auto e1 = a.allocate(Bytes(100));
-  const auto e2 = a.allocate(Bytes(100));
-  const auto e3 = a.allocate(Bytes(100));
-  a.release(e1);
-  a.release(e3);
-  EXPECT_EQ(a.free_extent_count(), 2u);  // [0,100) and [200,1000)
-  a.release(e2);                         // bridges the gap
-  EXPECT_EQ(a.free_extent_count(), 1u);
-  EXPECT_EQ(a.free_bytes(), Bytes(1000));
-  EXPECT_TRUE(a.invariants_hold());
-}
-
-TEST(ExtentAllocatorTest, FragmentedAllocationSpansExtents) {
-  ExtentAllocator a(Bytes(300));
-  const auto e1 = a.allocate(Bytes(100));
-  const auto e2 = a.allocate(Bytes(100));
-  const auto e3 = a.allocate(Bytes(100));
-  a.release(e1);
-  a.release(e3);
-  (void)e2;
-  // 200 bytes free but split 100+100: allocation must span both.
-  const auto big = a.allocate(Bytes(150));
-  EXPECT_EQ(big.size(), 2u);
-  EXPECT_EQ(a.free_bytes(), Bytes(50));
-  EXPECT_TRUE(a.invariants_hold());
-}
-
-TEST(ExtentAllocatorTest, ExhaustionThrowsAndRollsBack) {
-  ExtentAllocator a(Bytes(100));
-  (void)a.allocate(Bytes(60));
-  EXPECT_THROW((void)a.allocate(Bytes(50)), std::bad_alloc);
-  EXPECT_EQ(a.free_bytes(), Bytes(40));
-  EXPECT_TRUE(a.invariants_hold());
-}
-
-TEST(ExtentAllocatorTest, LargestFreeExtentTracksFragmentation) {
-  ExtentAllocator a(Bytes(1000));
-  const auto e1 = a.allocate(Bytes(400));
-  (void)a.allocate(Bytes(200));
-  a.release(e1);
-  EXPECT_EQ(a.largest_free_extent(), Bytes(400));
-}
-
-// Property: random alloc/release sequences preserve invariants and
-// conservation.
-class ExtentAllocatorProperty : public ::testing::TestWithParam<std::uint64_t> {
-};
-
-TEST_P(ExtentAllocatorProperty, RandomOpsPreserveInvariants) {
-  Rng rng(GetParam());
-  ExtentAllocator a(Bytes(1 << 20));
-  std::vector<std::vector<Extent>> live;
-  Bytes live_bytes = Bytes::zero();
-  for (int step = 0; step < 2000; ++step) {
-    if (live.empty() || rng.bernoulli(0.55)) {
-      const Bytes want(1 + rng.next_below(8192));
-      if (want <= a.free_bytes()) {
-        live.push_back(a.allocate(want));
-        live_bytes += want;
-      }
-    } else {
-      const auto idx = rng.next_below(live.size());
-      Bytes freed = Bytes::zero();
-      for (const auto& e : live[idx]) freed += Bytes(e.length);
-      a.release(live[idx]);
-      live_bytes -= freed;
-      live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
-    }
-    ASSERT_TRUE(a.invariants_hold());
-    ASSERT_EQ(a.free_bytes() + live_bytes, Bytes(1 << 20));
-  }
-  for (const auto& ext : live) a.release(ext);
-  EXPECT_EQ(a.free_bytes(), Bytes(1 << 20));
-  EXPECT_EQ(a.free_extent_count(), 1u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ExtentAllocatorProperty,
-                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
 
 // --- FileLock -----------------------------------------------------------------
 
@@ -265,6 +170,17 @@ TEST(LocalFsTest, UnlinkReleasesSpaceAndCache) {
     EXPECT_EQ(fx.fs.free_bytes(), before);
     EXPECT_FALSE(fx.fs.exists("tmp"));
     EXPECT_EQ(fx.cache.resident_pages(), 0u);
+    // A growth past the free space is refused before anything changes.
+    const InodeId big = co_await fx.fs.create("big");
+    bool threw = false;
+    try {
+      co_await fx.fs.write(big, Bytes::zero(), before + Bytes(1));
+    } catch (const std::bad_alloc&) {
+      threw = true;
+    }
+    EXPECT_TRUE(threw);
+    EXPECT_EQ(fx.fs.free_bytes(), before);
+    EXPECT_EQ(fx.fs.size(big), Bytes::zero());
   }(f));
   f.sim.run_to_quiescence();
 }

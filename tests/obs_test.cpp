@@ -321,8 +321,10 @@ TEST(ObsEnsembleTest, TraceExportIsValidAndComplete) {
   EXPECT_TRUE(JsonChecker(json).valid());
   EXPECT_GT(r.counters.get("trace_events"), 0u);
 
-  // Rank spans, resource counter samples, and lane metadata all present.
+  // Rank spans, frame markers, resource counter samples, and lane metadata
+  // all present.
   EXPECT_NE(json.find("\"md_compute\""), std::string::npos);
+  EXPECT_NE(json.find("{\"ph\":\"i\",\"name\":\"f=0\""), std::string::npos);
   EXPECT_NE(json.find("\"dyad_consume\""), std::string::npos);
   EXPECT_NE(json.find("\"nvme.inflight\""), std::string::npos);
   EXPECT_NE(json.find("\"sim.live_processes\""), std::string::npos);

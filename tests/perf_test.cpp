@@ -93,18 +93,6 @@ TEST(CallTreeTest, CategoryTimeSumsWithoutDoubleCounting) {
   EXPECT_EQ(t.category_time("", Category::kMovement), 4_ms);
 }
 
-TEST(CallTreeTest, MergeAccumulates) {
-  Simulation sim;
-  Recorder a(sim, "a"), b(sim, "b");
-  sim.spawn(instrumented_consume(sim, a));
-  sim.spawn(instrumented_consume(sim, b));
-  sim.run_to_quiescence();
-  CallTree merged = a.snapshot();
-  merged.merge(b.tree());
-  EXPECT_EQ(merged.find("dyad_consume")->inclusive, 12_ms);
-  EXPECT_EQ(merged.find("dyad_consume")->count, 2u);
-}
-
 TEST(CallTreeTest, RenderContainsNodesAndCategories) {
   Simulation sim;
   Recorder rec(sim, "c");
@@ -185,8 +173,8 @@ TEST(ThicketTest, QueryFindsNodesAnywhere) {
   sim.spawn(instrumented_consume(sim, rec));
   sim.run_to_quiescence();
   th.add({}, rec.snapshot());
-  StatTree agg;
-  const auto hits = th.query("**/read_single_buf", agg);
+  const StatTree agg = th.aggregate();
+  const auto hits = agg.query("**/read_single_buf");
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].first, "dyad_consume/read_single_buf");
   EXPECT_DOUBLE_EQ(hits[0].second->inclusive_us.mean(), 1000.0);

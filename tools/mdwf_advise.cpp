@@ -30,7 +30,9 @@
 //   dag_scale  = <x>                            (task runtime multiplier)
 //   out        = <path>                         (write the CSV there and a
 //                                               human table to stdout;
-//                                               default: CSV to stdout)
+//                                               default: CSV to stdout;
+//                                               checked for writing before
+//                                               any run)
 //
 // Each (workload, scenario, solution) cell is bound by
 // parse_ensemble_config from the keys mdwf_run would get for that run:
@@ -48,10 +50,11 @@
 // dwarfs the spread is a stable regime ("high"); a margin inside the
 // spread could flip on another seed ("low").
 //
-// Exit status: 0 on success; 1 on configuration errors or any failed
-// sweep point (the point's error is reported on stderr).
+// Exit status: 0 on success; 1 on configuration errors, any failed sweep
+// point (the point's error is reported on stderr) or a failed CSV write.
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <string_view>
@@ -198,6 +201,18 @@ int main(int argc, char** argv) {
     const std::uint32_t threads = grid.front().config.threads;
     const std::uint32_t reps = grid.front().config.repetitions;
 
+    if (!out_path.empty()) {
+      // An unwritable out= fails before the sweep, not after it.  Append
+      // mode leaves an existing file as it is; a file the probe created is
+      // removed again.
+      std::error_code ec;
+      const bool existed = std::filesystem::exists(out_path, ec);
+      if (!std::ofstream(out_path, std::ios::app)) {
+        return fail("cannot write '" + out_path + "'");
+      }
+      if (!existed) std::filesystem::remove(out_path, ec);
+    }
+
     const sweep::SweepResult swept = sweep::run_sweep(std::move(grid),
                                                       threads);
     int exit_code = 0;
@@ -279,9 +294,9 @@ int main(int argc, char** argv) {
       std::fputs(csv.c_str(), stdout);
     } else {
       std::ofstream out(out_path, std::ios::binary);
-      if (!out) return fail("cannot write '" + out_path + "'");
       out << csv;
       out.close();
+      if (!out) return fail("cannot write '" + out_path + "'");
 
       TextTable t({"workflow", "scenario", "recommendation", "fetch P99",
                    "runner-up", "margin", "confidence"});

@@ -55,7 +55,9 @@
 //                                            <path>.metrics.csv of the resource
 //                                            samples; open in ui.perfetto.dev)
 //   output     = table | csv                (default table)
-//   tree       = 0|1                        (print the consumer call tree)
+//   tree       = 0|1                        (print the consumer call tree;
+//                                            the task call tree in DAG mode;
+//                                            rejected with tenants=)
 //
 // DAG workload mode (mdwf::wload, DESIGN.md Sec. 13) — when workload= is
 // present the fixed producer/consumer pipeline is replaced by a
@@ -135,7 +137,7 @@ int run_cotenant(const KeyValueConfig& cfg, const std::string& output) {
 
   if (output == "csv") {
     std::fputs(r.to_csv().c_str(), stdout);
-  } else if (output == "table") {
+  } else {
     TextTable t({"tenant", "solution", "pairs", "nodes", "makespan_s",
                  "fetch_p99_us", "frames_consumed", "quota_sheds",
                  "slo_transitions"});
@@ -172,8 +174,6 @@ int run_cotenant(const KeyValueConfig& cfg, const std::string& output) {
       std::printf("\ntrace written to %s (+ %s)\n", mc.trace_path.c_str(),
                   obs::TraceSink::metrics_csv_path(mc.trace_path).c_str());
     }
-  } else {
-    return fail("unknown output '" + output + "'");
   }
 
   // Per-tenant data-loss audit: the diagnostic names the tenant so a failed
@@ -234,9 +234,17 @@ int main(int argc, char** argv) {
     // Driver-only keys, read before parsing: parse_ensemble_config fails
     // fast on any key nobody consumed.
     const std::string output = cfg.get_string("output", "table");
+    if (output != "table" && output != "csv") {
+      return fail("unknown output '" + output + "'");
+    }
     const bool print_tree = cfg.get_bool("tree", false);
 
-    if (cfg.has("tenants")) return run_cotenant(cfg, output);
+    if (cfg.has("tenants")) {
+      if (print_tree) {
+        throw ConfigError("tree=1 does not apply to co-tenant runs (tenants=)");
+      }
+      return run_cotenant(cfg, output);
+    }
 
     const workflow::EnsembleConfig config =
         workflow::parse_ensemble_config(cfg, driver_defaults());
@@ -285,7 +293,7 @@ int main(int argc, char** argv) {
         std::printf(",%llu", static_cast<unsigned long long>(value));
       }
       std::printf("\n");
-    } else if (output == "table") {
+    } else {
       TextTable t({"metric", "movement", "idle", "total"});
       auto row = [&](const char* name, const Samples& move,
                      const Samples& idle) {
@@ -332,13 +340,14 @@ int main(int argc, char** argv) {
                     obs::TraceSink::metrics_csv_path(config.trace_path)
                         .c_str());
       }
-    } else {
-      return fail("unknown output '" + output + "'");
     }
 
     if (print_tree) {
-      const auto agg = r.thicket.filter("role", "consumer").aggregate();
-      std::printf("\nconsumer call tree:\n%s", agg.render().c_str());
+      // DAG ranks are tagged role=task; the classic pipeline's consumers
+      // role=consumer.
+      const char* role = dag_mode ? "task" : "consumer";
+      const auto agg = r.thicket.filter("role", role).aggregate();
+      std::printf("\n%s call tree:\n%s", role, agg.render().c_str());
     }
 
     // A run that lost data is a failed run, whatever the tables say: every
