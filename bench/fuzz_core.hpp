@@ -42,6 +42,18 @@ struct Options {
   std::uint32_t threads = 1;
 };
 
+// The verdict of `check` on `s`, where a check that throws is a violation
+// ("exception: <what>"), never a pass: the run it checks did not complete.
+// A one-task run_tasks runs the check inline and captures its failure.
+template <class S, class Check>
+Verdict guarded(const Check& check, const S& s) {
+  Verdict v;
+  if (auto err = sweep::run_tasks({[&] { v = check(s); }}, 1).front()) {
+    v = "exception: " + *err;
+  }
+  return v;
+}
+
 // Greedy ddmin step: removes one element of `items(s)` at a time (from
 // index `first` on), keeps the first removal under which `check` still
 // fails, and restarts, until no single removal fails.
@@ -54,7 +66,7 @@ void drop_one(S& s, Items items, const Check& check, std::size_t first = 0) {
       S candidate = s;
       auto& seq = items(candidate);
       seq.erase(seq.begin() + static_cast<long>(i));
-      if (check(candidate).has_value()) {
+      if (guarded(check, candidate).has_value()) {
         s = std::move(candidate);
         progressed = true;
         break;
@@ -69,7 +81,7 @@ template <class S, class Halve, class Check>
 void halve_while_failing(S& s, Halve halve, const Check& check) {
   while (true) {
     S candidate = s;
-    if (!halve(candidate) || !check(candidate).has_value()) return;
+    if (!halve(candidate) || !guarded(check, candidate).has_value()) return;
     s = std::move(candidate);
   }
 }
@@ -79,7 +91,8 @@ void halve_while_failing(S& s, Halve halve, const Check& check) {
 // land in per-index slots and are reported in index order, so output and
 // exit code match the serial run: 0 when all hold; else the lowest-index
 // violation is shrunk and its reproducer printed and written to
-// <file_prefix><i>.txt, returning 1.
+// <file_prefix><i>.txt, returning 1.  A schedule whose draw, check or
+// replay throws is a violation, as in guarded().
 template <class S>
 int run(const Mode<S>& mode, const Options& opt) {
   struct Outcome {
@@ -99,7 +112,10 @@ int run(const Mode<S>& mode, const Options& opt) {
       if (!o.bad.has_value()) o.bad = mode.check(o.s);
     });
   }
-  sweep::run_tasks(std::move(checks), opt.threads);
+  const auto failures = sweep::run_tasks(std::move(checks), opt.threads);
+  for (std::size_t k = 0; k < outcomes.size(); ++k) {
+    if (failures[k]) outcomes[k].bad = "exception: " + *failures[k];
+  }
 
   for (const Outcome& o : outcomes) {
     const std::uint32_t i = o.index;

@@ -51,38 +51,6 @@ DyadMetadata DyadMetadata::decode(const std::string& s) {
   return m;
 }
 
-void DyadDomain::add(DyadNode& node) {
-  const auto [it, inserted] = nodes_.emplace(node.node().value, &node);
-  MDWF_ASSERT_MSG(inserted, "duplicate DYAD node registration");
-  (void)it;
-}
-
-DyadNode& DyadDomain::at(net::NodeId node) const {
-  const auto it = nodes_.find(node.value);
-  MDWF_ASSERT_MSG(it != nodes_.end(), "unknown DYAD node");
-  return *it->second;
-}
-
-void DyadDomain::subscribe(std::string prefix, net::NodeId node) {
-  subscriptions_.insert_or_assign(std::move(prefix), node);
-}
-
-std::optional<net::NodeId> DyadDomain::subscriber_for(
-    const std::string& path) const {
-  // Longest matching prefix wins; the table stays small (one entry per
-  // consumer rank), so a linear scan is fine.
-  std::optional<net::NodeId> best;
-  std::size_t best_len = 0;
-  for (const auto& [prefix, node] : subscriptions_) {
-    if (path.compare(0, prefix.size(), prefix) == 0 &&
-        prefix.size() >= best_len) {
-      best = node;
-      best_len = prefix.size();
-    }
-  }
-  return best;
-}
-
 DyadNode::DyadNode(sim::Simulation& sim, const DyadParams& params,
                    DyadDomain& domain, net::NodeId node,
                    fs::LocalFs& local_fs, net::Network& network,

@@ -34,6 +34,7 @@
 #include "mdwf/integrity/ledger.hpp"
 #include "mdwf/kvs/kvs.hpp"
 #include "mdwf/net/network.hpp"
+#include "mdwf/net/node_directory.hpp"
 #include "mdwf/obs/trace.hpp"
 #include "mdwf/perf/recorder.hpp"
 #include "mdwf/sim/primitives.hpp"
@@ -130,21 +131,7 @@ struct NodeHealth {
 // Registry of every DYAD-enabled node in the workflow: consumers resolve a
 // frame's owner NodeId to that node's broker through the domain, and (in
 // push mode) producers resolve path-prefix subscriptions to destinations.
-class DyadDomain {
- public:
-  void add(DyadNode& node);
-  DyadNode& at(net::NodeId node) const;
-  std::size_t size() const { return nodes_.size(); }
-
-  // Push-mode routing table: files whose path starts with `prefix` are
-  // streamed to `node` as they are produced.
-  void subscribe(std::string prefix, net::NodeId node);
-  std::optional<net::NodeId> subscriber_for(const std::string& path) const;
-
- private:
-  std::map<std::uint32_t, DyadNode*> nodes_;
-  std::map<std::string, net::NodeId> subscriptions_;  // prefix -> node
-};
+using DyadDomain = net::NodeDirectory<DyadNode>;
 
 // Per-node DYAD runtime: broker module plus client context.  One instance
 // per compute node, shared by every producer/consumer rank on that node.

@@ -155,17 +155,6 @@ void FaultInjector::attach_stream(std::uint32_t node,
   streams_[node] = &staging;
 }
 
-bool FaultInjector::has_crash_windows() const {
-  for (const FaultWindow& w : plan_.windows) {
-    if (w.target == FaultTarget::kNodeCrash ||
-        w.target == FaultTarget::kNodeLoss ||
-        w.mode == FaultMode::kIsolate) {
-      return true;
-    }
-  }
-  return false;
-}
-
 bool FaultInjector::node_lost(std::uint32_t node) const {
   for (const FaultWindow& w : plan_.windows) {
     if (w.target == FaultTarget::kNodeLoss && w.index == node) return true;

@@ -118,13 +118,6 @@ class FaultInjector {
   // Crash state for crash-aware ranks; valid for the injector's lifetime.
   CrashMonitor& monitor() { return *monitor_; }
 
-  // True if the plan contains any node-crash/kill window (ranks then run
-  // their crash-aware loops).  Isolation windows count too: an isolated
-  // node's ranks need the retry loops to ride out the outbound blackout,
-  // and under a membership plane the node can be declared lost and its
-  // processes killed while the plan itself holds no crash window.
-  bool has_crash_windows() const;
-
   // True if the plan permanently removes `node` (a kNodeLoss window).
   // Rank loops use this to park instead of polling for a peer that can
   // never come back, so membership-less runs quiesce into the deadlock

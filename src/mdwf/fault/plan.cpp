@@ -96,8 +96,9 @@ bool has_crash_in_nodes(const FaultPlan& plan, std::uint32_t first,
                         std::uint32_t count) {
   for (const auto& w : plan.windows) {
     if ((w.target == FaultTarget::kNodeCrash ||
-         w.target == FaultTarget::kNodeLoss) &&
-        w.index >= first && w.index < first + count) {
+         w.target == FaultTarget::kNodeLoss ||
+         w.mode == FaultMode::kIsolate) &&
+        w.index >= first && w.index - first < count) {
       return true;
     }
   }

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -103,11 +104,17 @@ struct FaultPlan {
 // (broker, OSTs, overload) keep their indices — they hit everyone.
 void shift_node_targets(FaultPlan& plan, std::uint32_t node_base);
 
-// True when the plan crashes or kills a node in [first, first + count): the
-// per-tenant form of FaultInjector::has_crash_windows, used to arm the
-// crash-aware rank loops and checkpoints only for the tenants that need them.
-bool has_crash_in_nodes(const FaultPlan& plan, std::uint32_t first,
-                        std::uint32_t count);
+// True when the plan crashes, kills, loses or isolates a node in
+// [first, first + count): the ranks on those nodes must then run crash-aware
+// (retry loops, crash restart, automatic checkpoints).  Isolation windows
+// count too: an isolated node's ranks need the retry loops to ride out the
+// outbound blackout, and under a membership plane the node can be declared
+// lost and its processes killed while the plan itself holds no crash window.
+// The default range is every node (classic and DAG runs); a co-tenant run
+// asks per tenant slice, so a healthy neighbor keeps the classic loops.
+bool has_crash_in_nodes(
+    const FaultPlan& plan, std::uint32_t first = 0,
+    std::uint32_t count = std::numeric_limits<std::uint32_t>::max());
 
 // A recurring stochastic fault source: windows arrive at exponential
 // intervals, last a lognormal duration, claim a uniform severity, and strike

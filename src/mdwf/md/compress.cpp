@@ -1,25 +1,14 @@
 #include "mdwf/md/compress.hpp"
 
 #include <cmath>
-#include <cstring>
 
 #include "mdwf/common/assert.hpp"
-#include "mdwf/common/crc32c.hpp"
+#include "mdwf/md/byte_io.hpp"
 
 namespace mdwf::md {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x4D44575A;  // "MDWZ"
-
-void put_raw(std::vector<std::byte>& out, const void* p, std::size_t n) {
-  const auto* b = static_cast<const std::byte*>(p);
-  out.insert(out.end(), b, b + n);
-}
-
-template <typename T>
-void put(std::vector<std::byte>& out, T v) {
-  put_raw(out, &v, sizeof(v));
-}
 
 // Zig-zag maps signed deltas to unsigned for varint encoding.
 std::uint64_t zigzag(std::int64_t v) {
@@ -40,43 +29,15 @@ void put_varint(std::vector<std::byte>& out, std::uint64_t v) {
   out.push_back(static_cast<std::byte>(v));
 }
 
-class Reader {
- public:
-  explicit Reader(const std::vector<std::byte>& buf) : buf_(buf) {}
-
-  template <typename T>
-  T get() {
-    T v;
-    raw(&v, sizeof(v));
-    return v;
+std::uint64_t get_varint(ByteReader& r) {
+  std::uint64_t v = 0;
+  for (int shift = 0;; shift += 7) {
+    const auto b = r.get<std::uint8_t>();
+    v |= static_cast<std::uint64_t>(b & 0x7F) << shift;
+    if ((b & 0x80) == 0) return v;
+    if (shift + 7 > 63) throw FrameError("varint overflow");
   }
-
-  void raw(void* p, std::size_t n) {
-    if (pos_ + n > buf_.size()) throw FrameError("compressed frame truncated");
-    std::memcpy(p, buf_.data() + pos_, n);
-    pos_ += n;
-  }
-
-  std::uint64_t varint() {
-    std::uint64_t v = 0;
-    int shift = 0;
-    for (;;) {
-      if (pos_ >= buf_.size()) throw FrameError("compressed frame truncated");
-      const auto b = static_cast<std::uint8_t>(buf_[pos_++]);
-      v |= static_cast<std::uint64_t>(b & 0x7F) << shift;
-      if ((b & 0x80) == 0) break;
-      shift += 7;
-      if (shift > 63) throw FrameError("varint overflow");
-    }
-    return v;
-  }
-
-  std::size_t pos() const { return pos_; }
-
- private:
-  const std::vector<std::byte>& buf_;
-  std::size_t pos_ = 0;
-};
+}
 
 std::int64_t quantize(double x, double precision) {
   return static_cast<std::int64_t>(std::llround(x / precision));
@@ -108,8 +69,7 @@ CompressionResult compress_frame(const Frame& frame, double precision) {
     py = qy;
     pz = qz;
   }
-  const std::uint32_t crc = crc32c(out.data(), out.size());
-  put(out, crc);
+  put_crc(out);
 
   CompressionResult result;
   result.raw_size = frame.serialized_size();
@@ -120,13 +80,11 @@ CompressionResult compress_frame(const Frame& frame, double precision) {
 
 Frame decompress_frame(const std::vector<std::byte>& data) {
   if (data.size() < 8) throw FrameError("compressed frame too small");
-  std::uint32_t stored_crc;
-  std::memcpy(&stored_crc, data.data() + data.size() - 4, 4);
-  if (stored_crc != crc32c(data.data(), data.size() - 4)) {
+  if (!crc_trailer_ok(data)) {
     throw FrameError("compressed frame checksum mismatch");
   }
 
-  Reader r(data);
+  ByteReader r(data);
   if (r.get<std::uint32_t>() != kMagic) {
     throw FrameError("bad compressed frame magic");
   }
@@ -144,9 +102,9 @@ Frame decompress_frame(const std::vector<std::byte>& data) {
   f.atoms.resize(count);
   std::int64_t px = 0, py = 0, pz = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
-    px += unzigzag(r.varint());
-    py += unzigzag(r.varint());
-    pz += unzigzag(r.varint());
+    px += unzigzag(get_varint(r));
+    py += unzigzag(get_varint(r));
+    pz += unzigzag(get_varint(r));
     f.atoms[i] = Atom{static_cast<std::uint32_t>(i),
                       static_cast<double>(px) * precision,
                       static_cast<double>(py) * precision,

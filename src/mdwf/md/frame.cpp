@@ -1,9 +1,7 @@
 #include "mdwf/md/frame.hpp"
 
-#include <cstring>
-
-#include "mdwf/common/crc32c.hpp"
 #include "mdwf/common/rng.hpp"
+#include "mdwf/md/byte_io.hpp"
 #include "mdwf/md/models.hpp"
 
 namespace mdwf::md {
@@ -11,40 +9,6 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x4D445746;  // "MDWF"
 constexpr std::uint16_t kVersion = 1;
-
-void put_raw(std::vector<std::byte>& out, const void* p, std::size_t n) {
-  const auto* b = static_cast<const std::byte*>(p);
-  out.insert(out.end(), b, b + n);
-}
-
-template <typename T>
-void put(std::vector<std::byte>& out, T v) {
-  put_raw(out, &v, sizeof(v));
-}
-
-class Reader {
- public:
-  explicit Reader(const std::vector<std::byte>& buf) : buf_(buf) {}
-
-  template <typename T>
-  T get() {
-    T v;
-    raw(&v, sizeof(v));
-    return v;
-  }
-
-  void raw(void* p, std::size_t n) {
-    if (pos_ + n > buf_.size()) throw FrameError("frame buffer truncated");
-    std::memcpy(p, buf_.data() + pos_, n);
-    pos_ += n;
-  }
-
-  std::size_t pos() const { return pos_; }
-
- private:
-  const std::vector<std::byte>& buf_;
-  std::size_t pos_ = 0;
-};
 
 }  // namespace
 
@@ -73,22 +37,15 @@ std::vector<std::byte> Frame::serialize() const {
     put(out, a.y);
     put(out, a.z);
   }
-  const std::uint32_t crc = crc32c(out.data(), out.size());
-  put(out, crc);
+  put_crc(out);
   return out;
 }
 
 Frame Frame::deserialize(const std::vector<std::byte>& buf) {
   if (buf.size() < 4) throw FrameError("frame buffer too small");
-  const std::uint32_t stored_crc = [&] {
-    std::uint32_t c;
-    std::memcpy(&c, buf.data() + buf.size() - 4, 4);
-    return c;
-  }();
-  const std::uint32_t actual_crc = crc32c(buf.data(), buf.size() - 4);
-  if (stored_crc != actual_crc) throw FrameError("frame checksum mismatch");
+  if (!crc_trailer_ok(buf)) throw FrameError("frame checksum mismatch");
 
-  Reader r(buf);
+  ByteReader r(buf);
   if (r.get<std::uint32_t>() != kMagic) throw FrameError("bad frame magic");
   const auto version = r.get<std::uint16_t>();
   if (version != kVersion) {

@@ -83,6 +83,18 @@ void append_json_string(std::string& out, std::string_view s) {
   out += '"';
 }
 
+// Writes `text` to `path`, closing the file before reporting success: a full
+// device accepts the open and fails only when the bytes are flushed.
+void write_file(const std::string& path, const std::string& text) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  if (!f) {
+    throw std::runtime_error("trace: cannot open '" + path + "' for writing");
+  }
+  f << text;
+  f.close();
+  if (!f) throw std::runtime_error("trace: cannot write '" + path + "'");
+}
+
 }  // namespace
 
 TraceSink::TraceSink() = default;
@@ -373,19 +385,8 @@ std::string TraceSink::metrics_csv_path(const std::string& json_path) {
 }
 
 void TraceSink::write(const std::string& json_path) const {
-  std::ofstream json(json_path, std::ios::binary | std::ios::trunc);
-  if (!json) {
-    throw std::runtime_error("trace: cannot open '" + json_path +
-                             "' for writing");
-  }
-  json << chrome_json();
-  const std::string csv_path = metrics_csv_path(json_path);
-  std::ofstream csv(csv_path, std::ios::binary | std::ios::trunc);
-  if (!csv) {
-    throw std::runtime_error("trace: cannot open '" + csv_path +
-                             "' for writing");
-  }
-  csv << metrics_csv();
+  write_file(json_path, chrome_json());
+  write_file(metrics_csv_path(json_path), metrics_csv());
 }
 
 }  // namespace mdwf::obs

@@ -155,7 +155,7 @@ class TraceSink {
 
   // Writes chrome_json() to `json_path` and metrics_csv() next to it (see
   // metrics_csv_path).  Throws std::runtime_error when a file cannot be
-  // opened.
+  // opened or written; the CSV is not opened once the JSON write failed.
   void write(const std::string& json_path) const;
   static std::string metrics_csv_path(const std::string& json_path);
 

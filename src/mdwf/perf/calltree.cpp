@@ -1,8 +1,5 @@
 #include "mdwf/perf/calltree.hpp"
 
-#include <functional>
-
-#include "mdwf/common/assert.hpp"
 #include "mdwf/common/format.hpp"
 
 namespace mdwf::perf {
@@ -21,43 +18,7 @@ std::string_view to_string(Category c) {
   return "?";
 }
 
-CallNode& CallNode::child(std::string_view child_name, Category cat) {
-  for (auto& c : children) {
-    if (c->name == child_name) return *c;
-  }
-  children.push_back(std::make_unique<CallNode>(std::string(child_name), cat));
-  return *children.back();
-}
-
-const CallNode* CallNode::find(std::string_view child_name) const {
-  for (const auto& c : children) {
-    if (c->name == child_name) return c.get();
-  }
-  return nullptr;
-}
-
-Duration CallNode::exclusive() const {
-  Duration d = inclusive;
-  for (const auto& c : children) d -= c->inclusive;
-  return d;
-}
-
-std::unique_ptr<CallNode> CallNode::clone() const {
-  auto n = std::make_unique<CallNode>(name, category);
-  n->count = count;
-  n->inclusive = inclusive;
-  n->max_single = max_single;
-  n->children.reserve(children.size());
-  for (const auto& c : children) n->children.push_back(c->clone());
-  return n;
-}
-
-CallTree::CallTree() : root_(std::make_unique<CallNode>("", Category::kOther)) {}
-
-namespace {
-
-// Splits "a/b/c" into segments on '/'.
-std::vector<std::string_view> split_path(std::string_view path) {
+std::vector<std::string_view> split_query(std::string_view path) {
   std::vector<std::string_view> out;
   while (!path.empty()) {
     const auto pos = path.find('/');
@@ -71,28 +32,35 @@ std::vector<std::string_view> split_path(std::string_view path) {
   return out;
 }
 
-Duration category_sum(const CallNode& node, Category cat) {
-  if (node.category == cat) return node.inclusive;
-  Duration d = Duration::zero();
-  for (const auto& c : node.children) d += category_sum(*c, cat);
+Duration CallNode::exclusive() const {
+  Duration d = inclusive;
+  for (const auto& c : children) d -= c->inclusive;
   return d;
 }
 
-}  // namespace
+std::unique_ptr<CallNode> CallNode::clone() const {
+  auto n = std::make_unique<CallNode>();
+  n->name = name;
+  n->category = category;
+  n->count = count;
+  n->inclusive = inclusive;
+  n->max_single = max_single;
+  n->children.reserve(children.size());
+  for (const auto& c : children) n->children.push_back(c->clone());
+  return n;
+}
+
+CallTree::CallTree() : root_(std::make_unique<CallNode>()) {}
 
 const CallNode* CallTree::find(std::string_view path) const {
-  const CallNode* node = root_.get();
-  for (const auto seg : split_path(path)) {
-    node = node->find(seg);
-    if (node == nullptr) return nullptr;
-  }
-  return node;
+  return find_path(*root_, path);
 }
 
 Duration CallTree::category_time(std::string_view path, Category cat) const {
   const CallNode* node = path.empty() ? root_.get() : find(path);
   if (node == nullptr) return Duration::zero();
-  return category_sum(*node, cat);
+  return category_sum(*node, cat,
+                      [](const CallNode& n) { return n.inclusive; });
 }
 
 CallTree CallTree::clone() const {
@@ -103,24 +71,20 @@ CallTree CallTree::clone() const {
 
 std::string CallTree::render() const {
   std::string out;
-  std::function<void(const CallNode&, int)> walk = [&](const CallNode& n,
-                                                       int depth) {
-    if (depth >= 0) {  // skip the synthetic root
-      out.append(static_cast<std::size_t>(depth) * 2, ' ');
-      out += n.name;
-      out += "  [";
-      out += to_string(n.category);
-      out += "]  count=";
-      out += std::to_string(n.count);
-      out += "  incl=";
-      out += format_duration(n.inclusive);
-      out += "  excl=";
-      out += format_duration(n.exclusive());
-      out += '\n';
-    }
-    for (const auto& c : n.children) walk(*c, depth + 1);
-  };
-  walk(*root_, -1);
+  walk_paths(*root_, [&out](std::span<const std::string_view> path,
+                            const CallNode& n) {
+    out.append((path.size() - 1) * 2, ' ');
+    out += n.name;
+    out += "  [";
+    out += to_string(n.category);
+    out += "]  count=";
+    out += std::to_string(n.count);
+    out += "  incl=";
+    out += format_duration(n.inclusive);
+    out += "  excl=";
+    out += format_duration(n.exclusive());
+    out += '\n';
+  });
   return out;
 }
 

@@ -8,7 +8,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -25,9 +27,75 @@ enum class Category : std::uint8_t { kOther = 0, kCompute, kMovement, kIdle };
 
 std::string_view to_string(Category c);
 
-struct CallNode {
+// Splits a '/'-separated path into its non-empty segments ("a//b/" -> a, b):
+// the one splitter behind CallTree/StatTree lookups and Thicket queries.
+std::vector<std::string_view> split_query(std::string_view path);
+
+// What CallNode and StatNode share: a named, categorised node whose children
+// keep their first-seen order.
+template <class Node>
+struct TreeNode {
   std::string name;
   Category category = Category::kOther;
+  std::vector<std::unique_ptr<Node>> children;
+
+  // Child lookup by name; creates on demand (stable first-seen order).
+  Node& child(std::string_view n, Category c) {
+    for (auto& ch : children) {
+      if (ch->name == n) return *ch;
+    }
+    auto& ch = children.emplace_back(std::make_unique<Node>());
+    ch->name = std::string(n);
+    ch->category = c;
+    return *ch;
+  }
+
+  const Node* find(std::string_view n) const {
+    for (const auto& ch : children) {
+      if (ch->name == n) return ch.get();
+    }
+    return nullptr;
+  }
+};
+
+// Follows a '/'-separated path down from `root`; nullptr when absent.
+template <class Node>
+const Node* find_path(const Node& root, std::string_view path) {
+  const Node* node = &root;
+  for (const auto seg : split_query(path)) {
+    node = node->find(seg);
+    if (node == nullptr) return nullptr;
+  }
+  return node;
+}
+
+// Visits every node below `root` depth-first in first-seen order, with the
+// names on its path from the root (its own name last).
+template <class Node, class Visit>
+void walk_paths(const Node& root, const Visit& visit) {
+  std::vector<std::string_view> path;
+  std::function<void(const Node&)> walk = [&](const Node& n) {
+    for (const auto& c : n.children) {
+      path.push_back(c->name);
+      visit(std::span<const std::string_view>(path), *c);
+      walk(*c);
+      path.pop_back();
+    }
+  };
+  walk(root);
+}
+
+// Sum of value(n) over the outermost nodes n of category `cat` in `node`'s
+// subtree (see CallTree::category_time).
+template <class Node, class Value>
+auto category_sum(const Node& node, Category cat, const Value& value) {
+  if (node.category == cat) return value(node);
+  decltype(value(node)) sum{};
+  for (const auto& c : node.children) sum += category_sum(*c, cat, value);
+  return sum;
+}
+
+struct CallNode : TreeNode<CallNode> {
   std::uint64_t count = 0;
   Duration inclusive = Duration::zero();
   // Longest single invocation (separates cold-start outliers, e.g. the
@@ -38,14 +106,6 @@ struct CallNode {
   // category rides along so a later category upgrade re-interns.
   std::uint32_t trace_handle = 0xffffffffu;
   std::uint8_t trace_handle_cat = 0xffu;
-  std::vector<std::unique_ptr<CallNode>> children;
-
-  CallNode() = default;
-  CallNode(std::string n, Category c) : name(std::move(n)), category(c) {}
-
-  // Child lookup by name; creates on demand (stable first-seen order).
-  CallNode& child(std::string_view name, Category cat);
-  const CallNode* find(std::string_view name) const;
 
   // Inclusive time minus the inclusive time of all children.
   Duration exclusive() const;

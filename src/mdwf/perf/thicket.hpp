@@ -31,9 +31,7 @@ struct TreeRecord {
 };
 
 // Statistical call tree: node-wise stats across a set of call trees.
-struct StatNode {
-  std::string name;
-  Category category = Category::kOther;
+struct StatNode : TreeNode<StatNode> {
   // Statistics over per-tree inclusive microseconds and call counts.
   RunningStats inclusive_us;
   RunningStats count;
@@ -43,10 +41,6 @@ struct StatNode {
   // Mean steady-state per-call microseconds: total time minus the single
   // largest call, divided by the remaining calls.
   double steady_per_call_us() const;
-  std::vector<std::unique_ptr<StatNode>> children;
-
-  StatNode& child(std::string_view n, Category c);
-  const StatNode* find(std::string_view n) const;
 };
 
 class StatTree {
@@ -105,6 +99,5 @@ class Thicket {
 // Path-pattern matching shared by CallTree/StatTree queries.
 bool path_matches(std::span<const std::string_view> pattern,
                   std::span<const std::string_view> path);
-std::vector<std::string_view> split_query(std::string_view pattern);
 
 }  // namespace mdwf::perf

@@ -32,50 +32,8 @@ std::string pub_key(const std::string& prefix) {
 }
 
 std::string path_prefix(const std::string& path) {
-  const auto slash = path.find('/');
+  const auto slash = path.rfind('/');
   return slash == std::string::npos ? path : path.substr(0, slash + 1);
-}
-
-void StreamDomain::add(StreamNode& node) {
-  const auto [it, inserted] = nodes_.emplace(node.node().value, &node);
-  MDWF_ASSERT_MSG(inserted, "duplicate stream node registration");
-  (void)it;
-}
-
-StreamNode& StreamDomain::at(net::NodeId node) const {
-  const auto it = nodes_.find(node.value);
-  MDWF_ASSERT_MSG(it != nodes_.end(), "unknown stream node");
-  return *it->second;
-}
-
-void StreamDomain::subscribe(std::string prefix, net::NodeId node) {
-  subscriptions_.insert_or_assign(std::move(prefix), node);
-}
-
-void StreamDomain::invalidate_node(net::NodeId node) {
-  for (auto it = subscriptions_.begin(); it != subscriptions_.end();) {
-    if (it->second == node) {
-      it = subscriptions_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-std::optional<net::NodeId> StreamDomain::subscriber_for(
-    const std::string& path) const {
-  // Longest matching prefix wins; one entry per consumer rank keeps the
-  // table small enough for a linear scan.
-  std::optional<net::NodeId> best;
-  std::size_t best_len = 0;
-  for (const auto& [prefix, node] : subscriptions_) {
-    if (path.compare(0, prefix.size(), prefix) == 0 &&
-        prefix.size() >= best_len) {
-      best = node;
-      best_len = prefix.size();
-    }
-  }
-  return best;
 }
 
 StreamNode::StreamNode(sim::Simulation& sim, const StreamParams& params,

@@ -58,6 +58,7 @@
 #include "mdwf/integrity/ledger.hpp"
 #include "mdwf/kvs/kvs.hpp"
 #include "mdwf/net/network.hpp"
+#include "mdwf/net/node_directory.hpp"
 #include "mdwf/obs/trace.hpp"
 #include "mdwf/perf/recorder.hpp"
 #include "mdwf/sim/primitives.hpp"
@@ -71,7 +72,10 @@ class StreamNode;
 // KVS keys of the subscription/announcement handshake.
 std::string sub_key(const std::string& prefix);
 std::string pub_key(const std::string& prefix);
-// Routing prefix of a frame path ("pair0007/frame00012" -> "pair0007/").
+// Routing prefix of a frame path: its directory, everything through the
+// last '/' ("pair0007/frame00012" -> "pair0007/", a co-tenant's
+// "t/pair0007/frame00012" -> "t/pair0007/").  Routes, credit windows and
+// KVS announcements are keyed per pair by it.
 std::string path_prefix(const std::string& path);
 
 struct StreamParams {
@@ -109,24 +113,7 @@ struct StreamParams {
 // Registry of the stream daemons plus the subscription routing table
 // (one entry per consumer rank, longest prefix wins) — the warm-path
 // route cache that spares the per-frame KVS round trip.
-class StreamDomain {
- public:
-  void add(StreamNode& node);
-  StreamNode& at(net::NodeId node) const;
-  std::size_t size() const { return nodes_.size(); }
-
-  void subscribe(std::string prefix, net::NodeId node);
-  std::optional<net::NodeId> subscriber_for(const std::string& path) const;
-
-  // Membership declared `node` lost: drop every routing entry pointing at
-  // it so producers stop delivering into a staging buffer no rank will
-  // ever drain (the migrated rank re-subscribes from its new home).
-  void invalidate_node(net::NodeId node);
-
- private:
-  std::map<std::uint32_t, StreamNode*> nodes_;
-  std::map<std::string, net::NodeId> subscriptions_;
-};
+using StreamDomain = net::NodeDirectory<StreamNode>;
 
 // One frame sitting in a node's staging buffer.
 struct StagedFrame {

@@ -15,35 +15,6 @@
 namespace mdwf::sweep {
 namespace {
 
-// One repetition's landing slot: exactly one of `out`/`err` is set after the
-// task ran.
-struct RepSlot {
-  std::optional<workflow::RepOutcome> out;
-  std::exception_ptr err;
-};
-
-std::function<void()> make_rep_task(const workflow::EnsembleConfig& config,
-                                    std::uint32_t rep, obs::TraceSink* trace,
-                                    RepSlot& slot) {
-  return [&config, rep, trace, &slot] {
-    try {
-      slot.out = workflow::run_repetition(config, rep, trace);
-    } catch (...) {
-      slot.err = std::current_exception();
-    }
-  };
-}
-
-std::string error_message(const std::exception_ptr& err) {
-  try {
-    std::rethrow_exception(err);
-  } catch (const std::exception& e) {
-    return e.what();
-  } catch (...) {
-    return "unknown error";
-  }
-}
-
 // CSV field hygiene: the summary is one record per line, comma-separated.
 std::string csv_safe(std::string s) {
   for (char& c : s) {
@@ -66,61 +37,76 @@ unsigned resolve_threads(std::uint32_t requested) {
   return hw == 0 ? 1 : hw;
 }
 
-void run_tasks(std::vector<std::function<void()>> tasks,
-               std::uint32_t threads) {
+std::vector<std::optional<std::string>> run_tasks(
+    std::vector<std::function<void()>> tasks, std::uint32_t threads) {
+  std::vector<std::optional<std::string>> failures(tasks.size());
+  const auto run = [&tasks, &failures](std::size_t i) {
+    try {
+      tasks[i]();
+    } catch (const std::exception& e) {
+      failures[i] = e.what();
+    } catch (...) {
+      failures[i] = "unknown error";
+    }
+  };
   const std::size_t workers =
       std::min<std::size_t>(resolve_threads(threads), tasks.size());
   if (workers <= 1) {
-    for (auto& t : tasks) t();
-    return;
+    for (std::size_t i = 0; i < tasks.size(); ++i) run(i);
+    return failures;
   }
   std::atomic<std::size_t> next{0};
-  std::vector<std::jthread> pool;  // joins every worker on scope exit
+  std::vector<std::jthread> pool;
   pool.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) {
-    pool.emplace_back([&tasks, &next] {
-      for (std::size_t i = next++; i < tasks.size(); i = next++) tasks[i]();
+    pool.emplace_back([&tasks, &next, &run] {
+      for (std::size_t i = next++; i < tasks.size(); i = next++) run(i);
     });
   }
+  pool.clear();  // joins every worker before `failures` is handed back
+  return failures;
 }
 
 SweepResult run_sweep(std::vector<SweepPoint> grid, std::uint32_t threads) {
   const auto start = std::chrono::steady_clock::now();
 
-  // Per-point repetition slots plus a per-point trace sink (rep 0 of each
-  // point may trace; distinct points never share a sink, so point-level
-  // parallelism stays race-free).
-  std::vector<std::vector<RepSlot>> slots(grid.size());
+  // One landing slot per (point, repetition) task, in task order, plus a
+  // per-point trace sink (rep 0 of each point may trace; distinct points
+  // never share a sink, so point-level parallelism stays race-free).
+  std::deque<std::optional<workflow::RepOutcome>> outs;
   std::deque<obs::TraceSink> sinks(grid.size());
   std::vector<std::function<void()>> tasks;
   for (std::size_t p = 0; p < grid.size(); ++p) {
     const workflow::EnsembleConfig& config = grid[p].config;
-    slots[p].resize(config.repetitions);
-    const bool tracing = !config.trace_path.empty();
     for (std::uint32_t rep = 0; rep < config.repetitions; ++rep) {
-      tasks.push_back(make_rep_task(
-          config, rep, (tracing && rep == 0) ? &sinks[p] : nullptr,
-          slots[p][rep]));
+      obs::TraceSink* trace =
+          (rep == 0 && !config.trace_path.empty()) ? &sinks[p] : nullptr;
+      tasks.push_back([&config, rep, trace, &out = outs.emplace_back()] {
+        out = workflow::run_repetition(config, rep, trace);
+      });
     }
   }
-  run_tasks(std::move(tasks), threads);
+  const auto failures = run_tasks(std::move(tasks), threads);
 
   SweepResult sweep;
   sweep.points.reserve(grid.size());
+  std::size_t first_task = 0;
   for (std::size_t p = 0; p < grid.size(); ++p) {
     PointResult point;
     point.label = std::move(grid[p].label);
     point.config = std::move(grid[p].config);
     workflow::EnsembleResult folded = workflow::make_ensemble_result();
-    for (RepSlot& slot : slots[p]) {
-      if (slot.err) {
+    const std::size_t end_task = first_task + point.config.repetitions;
+    for (std::size_t t = first_task; t < end_task; ++t) {
+      if (failures[t]) {
         // Canonical first failure; later repetitions of a poisoned point
         // are dropped (the serial loop would not have run them).
-        point.error_text = error_message(slot.err);
+        point.error_text = *failures[t];
         break;
       }
-      fold_repetition(folded, std::move(*slot.out));
+      fold_repetition(folded, std::move(*outs[t]));
     }
+    first_task = end_task;
     if (!point.failed()) {
       if (!point.config.trace_path.empty()) {
         folded.counters.set("trace_events", sinks[p].event_count());

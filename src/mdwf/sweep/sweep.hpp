@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,11 +32,13 @@ unsigned resolve_threads(std::uint32_t requested);
 
 // Runs a fixed batch of independent tasks on min(threads, tasks) workers,
 // each taking the next unclaimed index until none is left; blocks until
-// every task has completed.  Tasks must not throw (wrap and capture).  With
-// one worker the tasks run inline in index order.  threads as in
-// resolve_threads.
-void run_tasks(std::vector<std::function<void()>> tasks,
-               std::uint32_t threads);
+// every task has completed.  A task that throws does not stop the batch:
+// the result holds, per task index, its failure message (what() for a
+// std::exception, "unknown error" otherwise), or nothing for a task that
+// completed.  Each caller decides what a failure means.  With one worker
+// the tasks run inline in index order.  threads as in resolve_threads.
+std::vector<std::optional<std::string>> run_tasks(
+    std::vector<std::function<void()>> tasks, std::uint32_t threads);
 
 // One grid point: a full ensemble configuration plus a label for reports.
 struct SweepPoint {

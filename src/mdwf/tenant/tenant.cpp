@@ -206,8 +206,8 @@ TenantRepOutcome run_tenant_repetition(const MultiTenantConfig& config,
     rs.placement = spec.placement;
     rs.workload = spec.workload;
     rs.checkpoint = spec.checkpoint;
-    // Only the tenants whose own slice crashes run the crash-aware loops:
-    // a healthy neighbor keeps the classic loop shape (and its timings).
+    // Only the tenants whose own slice crashes, is lost or is isolated run
+    // the crash-aware loops: a healthy neighbor keeps the classic loops.
     fault::CrashMonitor* crash = nullptr;
     if (injector != nullptr &&
         fault::has_crash_in_nodes(tp.faults, base[i], spec.nodes)) {
@@ -255,8 +255,8 @@ TenantRepOutcome run_tenant_repetition(const MultiTenantConfig& config,
         SloGuard* guard = guards[i].get();
         Testbed* tbp = &tb;
         integrity::Ledger* ledger = tb.integrity_ledger();
-        const bool durable =
-            injector != nullptr && injector->has_crash_windows();
+        const bool durable = injector != nullptr &&
+                             fault::has_crash_in_nodes(injector->plan());
         rs.connectors = [book, guard, tbp, ledger, durable](
                             const workflow::ConnectorSpec& cs,
                             std::uint32_t pair, bool consumer)
@@ -374,28 +374,21 @@ MultiTenantResult run_multi_tenant(const MultiTenantConfig& config) {
 
   const std::uint32_t reps = config.repetitions;
   std::vector<TenantRepOutcome> slots(reps);
-  std::vector<std::string> errors(reps);
   std::vector<std::function<void()>> tasks;
   tasks.reserve(reps);
   for (std::uint32_t rep = 0; rep < reps; ++rep) {
-    tasks.push_back([&config, &slots, &errors, &trace_sink, tracing, rep] {
-      try {
-        slots[rep] = run_tenant_repetition(
-            config, rep, (tracing && rep == 0) ? &trace_sink : nullptr);
-      } catch (const std::exception& e) {
-        errors[rep] = e.what();
-      } catch (...) {
-        errors[rep] = "unknown error";
-      }
+    tasks.push_back([&config, &slots, &trace_sink, tracing, rep] {
+      slots[rep] = run_tenant_repetition(
+          config, rep, (tracing && rep == 0) ? &trace_sink : nullptr);
     });
   }
-  sweep::run_tasks(std::move(tasks), config.threads);
+  const auto failures = sweep::run_tasks(std::move(tasks), config.threads);
 
   // Rethrow the canonically-first failure, as the serial loop would.
   for (std::uint32_t rep = 0; rep < reps; ++rep) {
-    if (!errors[rep].empty()) {
+    if (failures[rep]) {
       throw std::runtime_error("repetition " + std::to_string(rep) + ": " +
-                               errors[rep]);
+                               *failures[rep]);
     }
   }
   // Fold in repetition order: byte-identical for every thread count.
@@ -658,29 +651,23 @@ MultiTenantConfig parse_multi_tenant(const KeyValueConfig& cfg,
     }
   }
 
-  // Cross-key rules, mirroring the classic parse but driven by the
-  // *per-tenant* scenarios: injected faults default the recovery protocol
-  // on, corrupting/tearing plans default end-to-end integrity on.  Explicit
-  // retry=/integrity= keys still win.
+  // The classic fault defaults, driven by the *per-tenant* scenarios.
   bool any_faults = false;
-  bool flips = false;
-  bool crashes = false;
+  std::vector<fault::FaultWindow> windows;
   for (std::size_t i = 0; i < mc.tenants.size(); ++i) {
     const TenantSpec& t = mc.tenants[i];
     if (!has_faults(t)) continue;
     any_faults = true;
     const fault::FaultPlan plan = tenant_fault_plan(
         t, i, mc.base_seed, mc.testbed.lustre.ost_count);
-    for (const auto& w : plan.windows) {
-      flips = flips || w.mode == fault::FaultMode::kBitFlip;
-      crashes = crashes || w.target == fault::FaultTarget::kNodeCrash;
-    }
+    windows.insert(windows.end(), plan.windows.begin(), plan.windows.end());
   }
-  const bool retry =
-      cfg.get_bool("retry", any_faults || mc.testbed.dyad.retry.enabled);
-  mc.testbed.dyad.retry.enabled = retry;
+  const workflow::FaultDefaults implied =
+      workflow::fault_defaults(any_faults, windows);
+  mc.testbed.dyad.retry.enabled =
+      cfg.get_bool("retry", implied.retry || mc.testbed.dyad.retry.enabled);
   mc.testbed.integrity.enabled = cfg.get_bool(
-      "integrity", flips || crashes || mc.testbed.integrity.enabled);
+      "integrity", implied.integrity || mc.testbed.integrity.enabled);
   return mc;
 }
 

@@ -78,6 +78,16 @@ ConfigError too_long(const std::string& setting, const std::string& what,
 
 }  // namespace
 
+FaultDefaults fault_defaults(bool scenario_set,
+                             std::span<const fault::FaultWindow> windows) {
+  FaultDefaults d{.retry = scenario_set};
+  for (const auto& w : windows) {
+    d.integrity = d.integrity || w.mode == fault::FaultMode::kBitFlip ||
+                  w.target == fault::FaultTarget::kNodeCrash;
+  }
+  return d;
+}
+
 EnsembleConfig parse_ensemble_config(const KeyValueConfig& cfg,
                                      const EnsembleConfig& defaults) {
   EnsembleConfig config = defaults;
@@ -180,11 +190,11 @@ EnsembleConfig parse_ensemble_config(const KeyValueConfig& cfg,
       throw ConfigError(e.what());
     }
   }
-  // Recovery protocol defaults on under injected faults (a retry-less DYAD
-  // consumer deadlocks through a broker outage); retry=0 reproduces that.
-  const bool retry = cfg.get_bool(
-      "retry", faults != "none" || defaults.testbed.dyad.retry.enabled);
-  config.testbed.dyad.retry.enabled = retry;
+  // retry=0 reproduces the retry-less deadlock under injected faults.
+  const FaultDefaults implied =
+      fault_defaults(faults != "none", config.testbed.faults.windows);
+  config.testbed.dyad.retry.enabled = cfg.get_bool(
+      "retry", implied.retry || defaults.testbed.dyad.retry.enabled);
 
   // Gray-failure mitigation (mdwf::health): health=on arms the phi-accrual
   // detector, circuit breaker, and bounded admission queues; hedge=on
@@ -211,18 +221,10 @@ EnsembleConfig parse_ensemble_config(const KeyValueConfig& cfg,
   config.testbed.membership.enabled =
       cfg.get_bool("membership", defaults.testbed.membership.enabled);
 
-  // End-to-end integrity defaults on whenever the plan can corrupt or tear
-  // frames (bit-flip or node-crash windows): unchecked runs would count
-  // corrupt frames as delivered.  integrity=off reproduces that baseline;
-  // integrity=on forces checksums under a healthy plan.
-  bool flips = false;
-  bool crashes = false;
-  for (const auto& w : config.testbed.faults.windows) {
-    flips = flips || w.mode == fault::FaultMode::kBitFlip;
-    crashes = crashes || w.target == fault::FaultTarget::kNodeCrash;
-  }
+  // integrity=off reproduces the unchecked baseline under a corrupting
+  // plan; integrity=on forces checksums under a healthy one.
   config.testbed.integrity.enabled = cfg.get_bool(
-      "integrity", flips || crashes || defaults.testbed.integrity.enabled);
+      "integrity", implied.integrity || defaults.testbed.integrity.enabled);
 
   // checkpoint=N persists a rank's progress record every N completed
   // frames; checkpoint=0 disables records even under crash windows (a

@@ -15,9 +15,11 @@
 // read them before parsing so they are already marked known on `cfg`.
 #pragma once
 
+#include <span>
 #include <string_view>
 
 #include "mdwf/common/keyval.hpp"
+#include "mdwf/fault/plan.hpp"
 #include "mdwf/workflow/ensemble.hpp"
 
 namespace mdwf::workflow {
@@ -30,6 +32,21 @@ std::string_view solution_key(Solution s);
 // Inverse of solution_key.  Throws mdwf::ConfigError "unknown solution
 // '<name>'" with a did-you-mean hint when a name is within two edits.
 Solution parse_solution(std::string_view name);
+
+// The defaults a run's fault plans imply; an explicit retry=/integrity= key
+// wins over both.  `scenario_set`: some fault scenario is named (its plan
+// may still hold no window); `windows`: every window of every plan in the
+// run, all tenants' in a co-tenant run.
+struct FaultDefaults {
+  // The DYAD recovery protocol, on under any scenario: a retry-less
+  // consumer deadlocks through a broker outage.
+  bool retry = false;
+  // End-to-end checksums, on when a window flips bits or crashes a node:
+  // unchecked runs would count corrupt or torn frames as delivered.
+  bool integrity = false;
+};
+FaultDefaults fault_defaults(bool scenario_set,
+                             std::span<const fault::FaultWindow> windows);
 
 // Throws mdwf::ConfigError on an unknown solution, model, fault scenario,
 // or leftover (unconsumed, unrecognized) key — with a did-you-mean hint

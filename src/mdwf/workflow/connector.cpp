@@ -45,7 +45,7 @@ std::unique_ptr<Connector> make_connector(const ConnectorSpec& spec) {
   Testbed& tb = *spec.testbed;
   integrity::Ledger* ledger = tb.integrity_ledger();
   const bool durable = tb.fault_injector() != nullptr &&
-                       tb.fault_injector()->has_crash_windows();
+                       fault::has_crash_in_nodes(tb.fault_injector()->plan());
   switch (spec.solution) {
     case Solution::kDyad:
       return std::make_unique<DyadConnector>(*tb.node(spec.node).dyad,

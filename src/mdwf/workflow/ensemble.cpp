@@ -531,7 +531,7 @@ void collect_rank_set(Testbed& tb, const RankSetSpec& spec,
 void collect_shared(Testbed& tb, std::uint64_t events_fired,
                     RepOutcome& out) {
   if (auto* injector = tb.fault_injector()) {
-    if (injector->has_crash_windows()) {
+    if (fault::has_crash_in_nodes(injector->plan())) {
       out.counters.add("crash_windows", injector->monitor().crashes());
     }
     out.counters.add("fault_windows_applied", injector->windows_applied());

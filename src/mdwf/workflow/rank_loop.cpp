@@ -155,7 +155,7 @@ RepOutcome run_rank_repetition(const EnsembleConfig& config, std::uint32_t rep,
   // Crash windows in the plan switch the ranks to their crash-aware form.
   fault::CrashMonitor* crash = nullptr;
   if (tb.fault_injector() != nullptr &&
-      tb.fault_injector()->has_crash_windows()) {
+      fault::has_crash_in_nodes(tb.fault_injector()->plan())) {
     crash = &tb.fault_injector()->monitor();
   }
 

@@ -110,9 +110,10 @@ Testbed::Testbed(const TestbedParams& params) : params_(params) {
       r.stream->set_fencing(fences_.get());
     }
     membership_->add_declare_listener([this](std::uint32_t lost) {
-      // Routing state naming the dead node is poison: drop push-mode
-      // subscriptions and learned stream routes to it before the migrated
-      // rank re-subscribes from its new home.
+      // Routing state naming the dead node is poison: drop the stream
+      // plane's subscriptions and learned routes to it before the migrated
+      // rank re-subscribes from its new home.  DYAD push routes are kept:
+      // a push is only a background prefetch ahead of the consumer's fetch.
       stream_domain_.invalidate_node(net::NodeId{lost});
       for (auto& r : nodes_) {
         r.stream->forget_routes_to(net::NodeId{lost});

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -150,6 +151,61 @@ TEST(FuzzCore, ReportsTheCanonicallyFirstViolationAtAnyThreadCount) {
             "minimal fake 3: windows=2,5 frames=4\n");
   file.close();
   std::remove("fuzz_core_test_repro_3.txt");
+}
+
+// A check whose run throws (schedule 3 while windows 2 and 5 and frames >= 3
+// remain) reports a violation with the exception as its verdict, at any
+// thread count, and the shrinker treats a throw as still failing.
+Verdict throws_on_3(const Fake& f) {
+  if (f.index == 3 && needs_2_5(f).has_value()) {
+    throw std::runtime_error("read past EOF");
+  }
+  return std::nullopt;
+}
+
+TEST(FuzzCore, AThrowingRunIsAReportedShrunkViolation) {
+  const Mode<Fake> mode{
+      "fake_fuzz", "fuzz_core_test_throw_repro_",
+      "fake schedules held every invariant", draw, throws_on_3,
+      [](const Fake&) -> Verdict { return std::nullopt; }, describe,
+      [](Fake f) {
+        drop_one(f, [](Fake& c) -> auto& { return c.windows; }, throws_on_3);
+        halve_while_failing(
+            f,
+            [](Fake& c) {
+              if (c.frames <= 1) return false;
+              c.frames /= 2;
+              return true;
+            },
+            throws_on_3);
+        return f;
+      }};
+  Options opt;
+  opt.schedules = 5;
+  opt.seed = 7;
+  for (const std::uint32_t threads : {1u, 2u}) {
+    opt.threads = threads;
+    const Captured r = run_captured(mode, opt);
+    EXPECT_EQ(r.code, 1) << threads;
+    EXPECT_EQ(r.out,
+              "FAILED fake 3: windows=0,1,2,3,4,5,6,7 frames=16\n"
+              "  exception: read past EOF\n"
+              "shrinking...\n"
+              "minimal fake 3: windows=2,5 frames=4\n"
+              "  reproduce: fake_fuzz seed=7 only=3\n"
+              "reproducer written to fuzz_core_test_throw_repro_3.txt\n")
+        << threads;
+    std::ifstream file("fuzz_core_test_throw_repro_3.txt");
+    ASSERT_TRUE(file.good()) << threads;
+    std::stringstream contents;
+    contents << file.rdbuf();
+    EXPECT_EQ(contents.str(),
+              "violation: exception: read past EOF\n"
+              "reproduce: fake_fuzz seed=7 only=3\n"
+              "minimal fake 3: windows=2,5 frames=4\n");
+    file.close();
+    std::remove("fuzz_core_test_throw_repro_3.txt");
+  }
 }
 
 TEST(FuzzCore, ReplaysEveryEighthScheduleAndSummarizesAPass) {

@@ -4,6 +4,7 @@
 
 #include <cctype>
 #include <cstddef>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -254,6 +255,23 @@ TEST(TraceSinkTest, EscapesStrings) {
   EXPECT_NE(json.find("a\\\\b"), std::string::npos);
   EXPECT_NE(json.find("x\\ny"), std::string::npos);
   EXPECT_TRUE(JsonChecker(json).valid());
+}
+
+// A write the device refuses is an error: /dev/full accepts the open and
+// fails when the bytes are flushed, and the metrics CSV is then never
+// opened (a root run would otherwise create /dev/full.metrics.csv).
+TEST(TraceSinkTest, FailedWriteThrowsBeforeTheCsvIsOpened) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  obs::TraceSink sink;
+  const obs::TrackId t = sink.track("p", "t");
+  sink.instant(sink.instant_id(t, "x"), TimePoint::origin());
+  try {
+    sink.write("/dev/full");
+    ADD_FAILURE() << "a write to /dev/full did not throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "trace: cannot write '/dev/full'");
+  }
+  EXPECT_FALSE(std::filesystem::exists("/dev/full.metrics.csv"));
 }
 
 TEST(TraceSinkTest, HandleInterningDedupesSeries) {

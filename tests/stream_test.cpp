@@ -39,6 +39,8 @@ TestbedParams two_node_params() {
 
 TEST(StreamTest, PathPrefixAndHandshakeKeys) {
   EXPECT_EQ(path_prefix("pair0007/frame00012"), "pair0007/");
+  // A co-tenant path keys on its pair's directory, not the tenant's.
+  EXPECT_EQ(path_prefix("a/pair0007/frame00012"), "a/pair0007/");
   EXPECT_EQ(path_prefix("flat"), "flat");
   EXPECT_EQ(sub_key("pair0/"), "stream.sub/pair0/");
   EXPECT_EQ(pub_key("pair0/"), "stream.pub/pair0/");

@@ -13,7 +13,9 @@
 #include <vector>
 
 #include "mdwf/common/keyval.hpp"
+#include "mdwf/fault/plan.hpp"
 #include "mdwf/health/quota.hpp"
+#include "mdwf/stream/stream.hpp"
 #include "mdwf/sweep/sweep.hpp"
 #include "mdwf/tenant/tenant.hpp"
 #include "mdwf/workflow/config.hpp"
@@ -58,6 +60,26 @@ MultiTenantConfig small_multi(std::vector<TenantSpec> tenants,
 
 // --- Solo contract -------------------------------------------------------
 
+// A single-tenant result `got` equals the classic `want`: same samples, and
+// every classic counter is the sum of the tenant row and the shared row.
+void expect_matches_classic(const workflow::EnsembleResult& want,
+                            const MultiTenantResult& got) {
+  ASSERT_EQ(got.tenants.size(), 1u);
+  const auto& r = got.tenants[0].result;
+  EXPECT_EQ(want.makespan_s.values(), r.makespan_s.values());
+  EXPECT_EQ(want.cons_fetch_us.values(), r.cons_fetch_us.values());
+  EXPECT_EQ(want.prod_movement_us.values(), r.prod_movement_us.values());
+  EXPECT_EQ(want.prod_idle_us.values(), r.prod_idle_us.values());
+  EXPECT_EQ(want.cons_movement_us.values(), r.cons_movement_us.values());
+  EXPECT_EQ(want.cons_idle_us.values(), r.cons_idle_us.values());
+  // Counters split across the tenant row and the shared-service row
+  // (KVS/Lustre/fabric totals are counted once); their sum is the classic
+  // single-ensemble value, exactly.
+  for (const auto& [name, value] : want.counters) {
+    EXPECT_EQ(value, r.counters.get(name) + got.shared.get(name)) << name;
+  }
+}
+
 // A single-tenant config reproduces sweep::run_ensemble exactly: same
 // samples, same counters.  This is what makes the solo overhead zero — the
 // co-tenant path IS the classic path when nobody shares the testbed.
@@ -73,24 +95,65 @@ TEST(TenantSolo, MatchesClassicRunnerBitForBit) {
 
   auto mc = small_multi({small_tenant("solo", Solution::kDyad, 2, 2)});
   const auto got = run_multi_tenant(mc);
+  expect_matches_classic(want, got);
   ASSERT_EQ(got.tenants.size(), 1u);
-  const auto& r = got.tenants[0].result;
-
-  EXPECT_EQ(want.makespan_s.values(), r.makespan_s.values());
-  EXPECT_EQ(want.cons_fetch_us.values(), r.cons_fetch_us.values());
-  EXPECT_EQ(want.prod_movement_us.values(), r.prod_movement_us.values());
-  EXPECT_EQ(want.prod_idle_us.values(), r.prod_idle_us.values());
-  EXPECT_EQ(want.cons_movement_us.values(), r.cons_movement_us.values());
-  EXPECT_EQ(want.cons_idle_us.values(), r.cons_idle_us.values());
-  // Counters split across the tenant row and the shared-service row
-  // (KVS/Lustre/fabric totals are counted once); their sum is the classic
-  // single-ensemble value, exactly.
-  for (const auto& [name, value] : want.counters) {
-    EXPECT_EQ(value, r.counters.get(name) + got.shared.get(name)) << name;
-  }
   // The tenant-only counters exist and stayed idle.
+  const auto& r = got.tenants[0].result;
   EXPECT_EQ(r.counters.get("slo_escalations"), 0u);
   EXPECT_EQ(r.counters.get("quota_kvs_sheds"), 0u);
+}
+
+// The solo contract covers isolation scenarios too: a tenant whose own slice
+// is partitioned, declared lost and healed runs the crash-aware loops (retry,
+// restart, migration) exactly as the classic runner does.
+TEST(TenantSolo, IsolationScenarioMatchesClassicRunnerBitForBit) {
+  EnsembleConfig classic;
+  classic.solution = Solution::kDyad;
+  classic.pairs = 2;
+  classic.nodes = 2;
+  classic.workload.frames = 16;
+  classic.repetitions = 2;
+  classic.base_seed = 7;
+  classic.testbed.membership.enabled = true;
+  classic.testbed.dyad.retry.enabled = true;
+  fault::ScenarioShape shape;
+  shape.compute_nodes = classic.nodes;
+  shape.ost_count = classic.testbed.lustre.ost_count;
+  shape.seed = classic.base_seed;
+  classic.testbed.faults = fault::make_scenario("heal-after-declare", shape);
+  const auto want = sweep::run_ensemble(classic);
+  ASSERT_GT(want.counters.get("membership_declares"), 0u);
+
+  auto solo = small_tenant("solo", Solution::kDyad, 2, 2, 16);
+  solo.faults = "heal-after-declare";
+  auto mc = small_multi({solo}, 2);
+  mc.testbed.membership.enabled = true;
+  mc.testbed.dyad.retry.enabled = true;
+  expect_matches_classic(want, run_multi_tenant(mc));
+}
+
+// --- Stream routing ------------------------------------------------------
+
+// A co-tenant frame path carries the tenant's namespace
+// ("a/pair0001/frame00003"), so each pair of a stream tenant must still be
+// routed, credited and announced on its own: every frame is consumed with
+// no replay and the fetch tail stays below one arrival timeout.
+TEST(TenantStream, EachPairRoutesToItsOwnConsumer) {
+  auto mc = small_multi({small_tenant("a", Solution::kStream, 4, 4, 16),
+                         small_tenant("b", Solution::kStream, 4, 4, 16)},
+                        1);
+  mc.quota = false;
+  const auto got = run_multi_tenant(mc);
+  ASSERT_EQ(got.tenants.size(), 2u);
+  const double timeout_us =
+      stream::StreamParams{}.arrival_timeout.to_micros();
+  for (const auto& t : got.tenants) {
+    const auto& c = t.result.counters;
+    EXPECT_EQ(c.get("frames_consumed"), 4u * 16u) << t.spec.name;
+    EXPECT_EQ(c.get("stream_replays"), 0u) << t.spec.name;
+    EXPECT_LT(t.result.cons_fetch_us.quantile(0.99), timeout_us)
+        << t.spec.name;
+  }
 }
 
 // --- Thread-count determinism --------------------------------------------
