@@ -1,7 +1,5 @@
 #include "mdwf/storage/page_cache.hpp"
 
-#include <iterator>
-
 #include "mdwf/common/assert.hpp"
 
 namespace mdwf::storage {
@@ -14,43 +12,94 @@ PageCache::PageCache(sim::Simulation& sim, const PageCacheParams& params,
   MDWF_ASSERT_MSG(max_pages_ >= 1, "cache smaller than one page");
 }
 
-PageCache::Key PageCache::make_key(std::uint64_t file_id, std::uint64_t page) {
-  MDWF_ASSERT(file_id < (1ull << 32) && page < (1ull << 32));
-  return (file_id << 32) | page;
+PageCache::Access PageCache::access(std::uint64_t file_id, Bytes offset,
+                                    Bytes len, bool write) {
+  const std::uint64_t lo = first_page(offset);
+  const std::uint64_t hi = last_page(offset, len);
+  MDWF_ASSERT(file_id < (1ull << 32) && hi < (1ull << 32));
+  // Eviction only clears entries of this vector, so the reference stays
+  // valid for the whole loop.
+  std::vector<std::uint32_t>& index = files_[file_id];
+  if (index.size() <= hi) index.resize(hi + 1, kNone);
+  Access a;
+  for (std::uint64_t p = lo; p <= hi; ++p) {
+    std::uint32_t s = index[p];
+    if (s != kNone) {
+      if (!write) {
+        ++hits_;
+      } else if (!slots_[s].dirty) {
+        slots_[s].dirty = true;
+        ++dirty_count_;
+      }
+      unlink(s);
+      link_front(s);
+      continue;
+    }
+    ++misses_;
+    ++a.missed;
+    while (resident_ >= max_pages_) a.writeback += evict_one();
+    if (free_ != kNone) {
+      s = free_;
+      free_ = slots_[s].next;
+    } else {
+      MDWF_ASSERT_MSG(slots_.size() < kNone, "page-cache slot index overflow");
+      s = static_cast<std::uint32_t>(slots_.size());
+      slots_.emplace_back();
+    }
+    slots_[s] = Slot{kNone, kNone, static_cast<std::uint32_t>(file_id),
+                     static_cast<std::uint32_t>(p), write};
+    link_front(s);
+    index[p] = s;
+    ++resident_;
+    if (write) ++dirty_count_;
+  }
+  return a;
 }
 
-void PageCache::touch(Key k, Entry& e) {
-  lru_.erase(e.lru_pos);
-  lru_.push_front(k);
-  e.lru_pos = lru_.begin();
+void PageCache::unlink(std::uint32_t s) {
+  const Slot& slot = slots_[s];
+  (slot.prev == kNone ? mru_ : slots_[slot.prev].next) = slot.next;
+  (slot.next == kNone ? lru_ : slots_[slot.next].prev) = slot.prev;
+}
+
+void PageCache::link_front(std::uint32_t s) {
+  slots_[s].prev = kNone;
+  slots_[s].next = mru_;
+  (mru_ == kNone ? lru_ : slots_[mru_].prev) = s;
+  mru_ = s;
+}
+
+void PageCache::release(std::uint32_t s) {
+  unlink(s);
+  slots_[s].next = free_;
+  free_ = s;
+  --resident_;
 }
 
 Bytes PageCache::evict_one() {
-  MDWF_ASSERT(!lru_.empty());
+  MDWF_ASSERT(lru_ != kNone);
   // Prefer a clean victim near the LRU end (bounded scan); fall back to the
   // true LRU page when everything old is dirty.
   constexpr int kScanLimit = 128;
-  auto victim_it = std::prev(lru_.end());
+  std::uint32_t victim = lru_;
   int scanned = 0;
-  for (auto it = std::prev(lru_.end());; --it) {
-    const auto page = pages_.find(*it);
-    MDWF_ASSERT(page != pages_.end());
-    if (!page->second.dirty) {
-      victim_it = it;
+  for (std::uint32_t s = lru_;; s = slots_[s].prev) {
+    if (!slots_[s].dirty) {
+      victim = s;
       break;
     }
-    if (++scanned >= kScanLimit || it == lru_.begin()) break;
+    if (++scanned >= kScanLimit || slots_[s].prev == kNone) break;
   }
-  const Key victim = *victim_it;
-  lru_.erase(victim_it);
-  auto it = pages_.find(victim);
-  MDWF_ASSERT(it != pages_.end());
+  const Slot& v = slots_[victim];
+  const auto file = files_.find(v.file);
+  MDWF_ASSERT(file != files_.end() && file->second[v.page] == victim);
+  file->second[v.page] = kNone;
   Bytes writeback = Bytes::zero();
-  if (it->second.dirty) {
+  if (v.dirty) {
     writeback = params_.page_size;
     --dirty_count_;
   }
-  pages_.erase(it);
+  release(victim);
   ++evictions_;
   return writeback;
 }
@@ -88,7 +137,7 @@ void PageCache::set_trace(obs::TraceSink* sink, obs::TrackId track,
 
 void PageCache::trace_state() {
   if (trace_ == nullptr) return;
-  const auto resident = static_cast<std::int64_t>(pages_.size());
+  const auto resident = static_cast<std::int64_t>(resident_);
   const auto dirty = static_cast<std::int64_t>(dirty_count_);
   if (resident != traced_resident_) {
     traced_resident_ = resident;
@@ -103,26 +152,7 @@ void PageCache::trace_state() {
 sim::Task<void> PageCache::write(std::uint64_t file_id, Bytes offset,
                                  Bytes len) {
   if (len.is_zero()) co_return;
-  Bytes writeback = Bytes::zero();
-  const std::uint64_t lo = first_page(offset);
-  const std::uint64_t hi = last_page(offset, len);
-  for (std::uint64_t p = lo; p <= hi; ++p) {
-    const Key k = make_key(file_id, p);
-    auto it = pages_.find(k);
-    if (it != pages_.end()) {
-      touch(k, it->second);
-      if (!it->second.dirty) {
-        it->second.dirty = true;
-        ++dirty_count_;
-      }
-      continue;
-    }
-    ++misses_;
-    while (pages_.size() >= max_pages_) writeback += evict_one();
-    lru_.push_front(k);
-    pages_.emplace(k, Entry{lru_.begin(), true});
-    ++dirty_count_;
-  }
+  const Bytes writeback = access(file_id, offset, len, true).writeback;
   trace_state();
   // Evicted dirty victims flush in the background; the buffered write only
   // pays the memory copy.
@@ -133,37 +163,22 @@ sim::Task<void> PageCache::write(std::uint64_t file_id, Bytes offset,
 sim::Task<void> PageCache::read(std::uint64_t file_id, Bytes offset,
                                 Bytes len) {
   if (len.is_zero()) co_return;
-  Bytes writeback = Bytes::zero();
-  Bytes to_fetch = Bytes::zero();
-  const std::uint64_t lo = first_page(offset);
-  const std::uint64_t hi = last_page(offset, len);
-  for (std::uint64_t p = lo; p <= hi; ++p) {
-    const Key k = make_key(file_id, p);
-    auto it = pages_.find(k);
-    if (it != pages_.end()) {
-      ++hits_;
-      touch(k, it->second);
-      continue;
-    }
-    ++misses_;
-    to_fetch += params_.page_size;
-    while (pages_.size() >= max_pages_) writeback += evict_one();
-    lru_.push_front(k);
-    pages_.emplace(k, Entry{lru_.begin(), false});
-  }
+  const Access a = access(file_id, offset, len, false);
   trace_state();
-  writeback_async(writeback);
-  if (!to_fetch.is_zero()) co_await device_->read(to_fetch);
+  writeback_async(a.writeback);
+  if (a.missed > 0) co_await device_->read(params_.page_size * a.missed);
   co_await memcpy_cost(len);
 }
 
 sim::Task<void> PageCache::flush(std::uint64_t file_id) {
   Bytes writeback = Bytes::zero();
-  for (auto& [key, entry] : pages_) {
-    if ((key >> 32) == file_id && entry.dirty) {
-      entry.dirty = false;
-      --dirty_count_;
-      writeback += params_.page_size;
+  if (const auto file = files_.find(file_id); file != files_.end()) {
+    for (const std::uint32_t s : file->second) {
+      if (s != kNone && slots_[s].dirty) {
+        slots_[s].dirty = false;
+        --dirty_count_;
+        writeback += params_.page_size;
+      }
     }
   }
   trace_state();
@@ -171,14 +186,13 @@ sim::Task<void> PageCache::flush(std::uint64_t file_id) {
 }
 
 void PageCache::drop(std::uint64_t file_id) {
-  for (auto it = pages_.begin(); it != pages_.end();) {
-    if ((it->first >> 32) == file_id) {
-      if (it->second.dirty) --dirty_count_;
-      lru_.erase(it->second.lru_pos);
-      it = pages_.erase(it);
-    } else {
-      ++it;
+  if (const auto file = files_.find(file_id); file != files_.end()) {
+    for (const std::uint32_t s : file->second) {
+      if (s == kNone) continue;
+      if (slots_[s].dirty) --dirty_count_;
+      release(s);
     }
+    files_.erase(file);
   }
   trace_state();
 }
@@ -186,8 +200,10 @@ void PageCache::drop(std::uint64_t file_id) {
 std::size_t PageCache::crash_drop_dirty() {
   const std::size_t lost = dirty_count_;
   dirty_dropped_ += lost;
-  lru_.clear();
-  pages_.clear();
+  slots_.clear();
+  files_.clear();
+  free_ = mru_ = lru_ = kNone;
+  resident_ = 0;
   dirty_count_ = 0;
   trace_state();
   return lost;
@@ -197,8 +213,11 @@ bool PageCache::resident(std::uint64_t file_id, Bytes offset, Bytes len) const {
   if (len.is_zero()) return true;
   const std::uint64_t lo = first_page(offset);
   const std::uint64_t hi = last_page(offset, len);
+  MDWF_ASSERT(file_id < (1ull << 32) && hi < (1ull << 32));
+  const auto file = files_.find(file_id);
+  if (file == files_.end() || file->second.size() <= hi) return false;
   for (std::uint64_t p = lo; p <= hi; ++p) {
-    if (!pages_.contains(make_key(file_id, p))) return false;
+    if (file->second[p] == kNone) return false;
   }
   return true;
 }

@@ -5,11 +5,19 @@
 // pages keyed by (file id, page index).  Only timing and residency are
 // modelled — file *contents* live in the filesystem layer (or nowhere, for
 // byte-count workloads).
+//
+// Layout: each resident page is one slot in a pooled array, linked into the
+// LRU by 32-bit slot indices; a freed slot is chained onto a free list
+// through the same link and reused before the pool grows.  The pool grows on
+// demand and is never reserved to capacity (a 48 GiB cache is 196,608
+// pages).  A per-file index maps a file id to its slot indices by page
+// number, so a call hashes its file id once, and flush() and drop() cost
+// O(the file's pages), not O(every resident page).
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <unordered_map>
+#include <vector>
 
 #include "mdwf/common/bytes.hpp"
 #include "mdwf/obs/trace.hpp"
@@ -58,7 +66,7 @@ class PageCache {
   std::uint64_t evictions() const { return evictions_; }
   std::uint64_t dirty_dropped() const { return dirty_dropped_; }
   std::uint64_t failed_writebacks() const { return failed_writebacks_; }
-  std::size_t resident_pages() const { return pages_.size(); }
+  std::size_t resident_pages() const { return resident_; }
   std::size_t dirty_pages() const { return dirty_count_; }
 
   // Samples residency/dirty state ("<prefix>.resident_pages",
@@ -68,13 +76,21 @@ class PageCache {
                  const std::string& prefix);
 
  private:
-  // (file_id, page_index) packed; both fit 32 bits for any modelled load.
-  using Key = std::uint64_t;
-  static Key make_key(std::uint64_t file_id, std::uint64_t page);
+  // Slot index meaning "no slot": an absent page, or either end of a list.
+  static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
 
-  struct Entry {
-    std::list<Key>::iterator lru_pos;
-    bool dirty = false;
+  struct Slot {
+    std::uint32_t prev;  // towards the MRU end
+    std::uint32_t next;  // towards the LRU end; the free-list link when free
+    std::uint32_t file;
+    std::uint32_t page;
+    bool dirty;
+  };
+
+  // What one read or write did to the cache.
+  struct Access {
+    Bytes writeback = Bytes::zero();  // dirty bytes evicted
+    std::uint64_t missed = 0;         // pages inserted
   };
 
   std::uint64_t first_page(Bytes offset) const {
@@ -84,7 +100,15 @@ class PageCache {
     return (offset.count() + len.count() - 1) / params_.page_size.count();
   }
 
-  void touch(Key k, Entry& e);
+  // Moves pages lo..hi of [offset, offset+len) to the MRU end one at a time,
+  // in page order, inserting each missing page (dirty for a write) and
+  // evicting as needed.  A read hit counts as a hit; a write hit only
+  // dirties the page.
+  Access access(std::uint64_t file_id, Bytes offset, Bytes len, bool write);
+  void unlink(std::uint32_t s);
+  void link_front(std::uint32_t s);
+  // Unlinks the slot and puts it on the free list.
+  void release(std::uint32_t s);
   // Makes room for one page.  Clean pages are preferred victims; evicting a
   // dirty page returns its size so the caller can launch the write-back.
   Bytes evict_one();
@@ -100,8 +124,13 @@ class PageCache {
   PageCacheParams params_;
   BlockDevice* device_;
   std::size_t max_pages_;
-  std::list<Key> lru_;  // front = most recent
-  std::unordered_map<Key, Entry> pages_;
+  std::vector<Slot> slots_;
+  std::uint32_t free_ = kNone;
+  std::uint32_t mru_ = kNone;
+  std::uint32_t lru_ = kNone;
+  std::size_t resident_ = 0;
+  // file id -> slot index by page number (kNone where not resident).
+  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> files_;
   std::size_t dirty_count_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

@@ -2,6 +2,7 @@
 // models, parameterized over seeds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <list>
 #include <map>
@@ -66,25 +67,54 @@ TEST_P(Seeded, KernelSurvivesRandomAgentSoup) {
 
 // --- PageCache vs a reference LRU model ----------------------------------------
 
+// An independent model of PageCache's policy: one LRU over (file, page) keys,
+// hits counted on reads only, a bounded clean-first victim scan from the LRU
+// end, write-back of every dirty page that is evicted or flushed, and nothing
+// written back on drop or crash.
 struct ReferenceLru {
+  ReferenceLru(std::size_t pages, std::uint64_t page_bytes)
+      : capacity(pages), page_size(page_bytes) {}
+
   std::size_t capacity;
+  std::uint64_t page_size;
   std::list<std::uint64_t> order;  // front = MRU
   std::map<std::uint64_t, bool> dirty;
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t evictions = 0;
+  std::uint64_t dirty_dropped = 0;
+  std::uint64_t written_pages = 0;  // evicted dirty + flushed
+  std::uint64_t scan_limited = 0;   // scans that gave up on a clean victim
 
-  // Mirrors PageCache: bounded clean-first victim scan from the LRU end.
   static constexpr int kScanLimit = 128;
 
-  void touch(std::uint64_t key, bool make_dirty) {
-    auto it = std::find(order.begin(), order.end(), key);
+  static std::uint64_t key(std::uint64_t file, std::uint64_t page) {
+    return (file << 32) | page;
+  }
+
+  // Pages lo..hi move to the MRU end one at a time, in page order.
+  void access(std::uint64_t file, std::uint64_t offset, std::uint64_t len,
+              bool is_write) {
+    if (len == 0) return;
+    const std::uint64_t hi = (offset + len - 1) / page_size;
+    for (std::uint64_t p = offset / page_size; p <= hi; ++p) {
+      touch(key(file, p), is_write);
+    }
+  }
+
+  void touch(std::uint64_t k, bool is_write) {
+    auto it = std::find(order.begin(), order.end(), k);
     if (it != order.end()) {
+      if (!is_write) ++hits;
       order.erase(it);
-      order.push_front(key);
-      if (make_dirty) dirty[key] = true;
+      order.push_front(k);
+      if (is_write) dirty[k] = true;
       return;
     }
+    ++misses;
     if (order.size() >= capacity) evict();
-    order.push_front(key);
-    dirty[key] = make_dirty;
+    order.push_front(k);
+    dirty[k] = is_write;
   }
 
   void evict() {
@@ -95,44 +125,143 @@ struct ReferenceLru {
         victim = it;
         break;
       }
-      if (++scanned >= kScanLimit || it == order.begin()) break;
+      if (it == order.begin()) break;
+      if (++scanned >= kScanLimit) {
+        ++scan_limited;
+        break;
+      }
     }
+    if (dirty[*victim]) ++written_pages;
+    ++evictions;
     dirty.erase(*victim);
     order.erase(victim);
   }
 
-  bool resident(std::uint64_t key) const { return dirty.contains(key); }
+  void flush(std::uint64_t file) {
+    for (auto& [k, d] : dirty) {
+      if ((k >> 32) == file && d) {
+        d = false;
+        ++written_pages;
+      }
+    }
+  }
+
+  void drop(std::uint64_t file) {
+    std::erase_if(order, [file](std::uint64_t k) { return (k >> 32) == file; });
+    std::erase_if(dirty, [file](const auto& kv) {
+      return (kv.first >> 32) == file;
+    });
+  }
+
+  std::size_t crash() {
+    const std::size_t lost = dirty_pages();
+    dirty_dropped += lost;
+    order.clear();
+    dirty.clear();
+    return lost;
+  }
+
+  std::size_t dirty_pages() const {
+    return static_cast<std::size_t>(std::count_if(
+        dirty.begin(), dirty.end(), [](const auto& kv) { return kv.second; }));
+  }
+
+  bool resident(std::uint64_t file, std::uint64_t offset,
+                std::uint64_t len) const {
+    if (len == 0) return true;
+    const std::uint64_t hi = (offset + len - 1) / page_size;
+    for (std::uint64_t p = offset / page_size; p <= hi; ++p) {
+      if (!dirty.contains(key(file, p))) return false;
+    }
+    return true;
+  }
 };
 
-TEST_P(Seeded, PageCacheMatchesReferenceLru) {
+// One random op stream: percentages of writes, reads, flushes and drops
+// (crashes take the rest) over six files of `file_pages` pages each.
+struct LruMix {
+  std::size_t capacity_pages;
+  std::uint64_t file_pages;
+  int ops;
+  std::uint64_t write_pct;
+  std::uint64_t read_pct;
+  std::uint64_t flush_pct;
+  std::uint64_t drop_pct;
+};
+
+// Drives a PageCache and the reference with the same stream of multi-page
+// and partial-page reads and writes, flushes, drops and crashes, and
+// compares every counter after each op and the device's written bytes at
+// quiescence.  Returns the reference model, so a caller can check which
+// paths the stream reached.
+ReferenceLru run_against_reference_lru(std::uint64_t seed, const LruMix& mix) {
   Simulation sim;
   storage::BlockDevice dev(sim, storage::BlockDeviceParams{}, "d");
+  const Bytes page = Bytes::kib(256);
   storage::PageCacheParams pcp;
-  pcp.capacity = Bytes::kib(256) * 16;  // 16 pages
-  pcp.page_size = Bytes::kib(256);
+  pcp.capacity = page * mix.capacity_pages;
+  pcp.page_size = page;
   storage::PageCache cache(sim, pcp, dev);
-  ReferenceLru ref{16, {}, {}};
-  Rng rng(GetParam());
+  ReferenceLru ref{mix.capacity_pages, page.count()};
 
-  sim.spawn([](storage::PageCache& c, ReferenceLru& r, Rng rg) -> Task<void> {
-    for (int op = 0; op < 600; ++op) {
+  sim.spawn([](storage::PageCache& c, ReferenceLru& r, const LruMix& m,
+               Rng rg) -> Task<void> {
+    const std::uint64_t ps = r.page_size;
+    for (int op = 0; op < m.ops; ++op) {
       const std::uint64_t file = 1 + rg.next_below(6);
-      const std::uint64_t page = rg.next_below(8);
-      const Bytes offset = Bytes::kib(256) * page;
-      const bool is_write = rg.bernoulli(0.5);
-      if (is_write) {
-        co_await c.write(file, offset, Bytes::kib(256));
-      } else {
-        co_await c.read(file, offset, Bytes::kib(256));
+      std::uint64_t offset = rg.next_below(m.file_pages * ps);
+      std::uint64_t len = 1 + rg.next_below(4 * ps);
+      if (rg.bernoulli(0.3)) {  // whole pages
+        offset -= offset % ps;
+        len = ps * (1 + rg.next_below(4));
+      } else if (rg.bernoulli(0.05)) {
+        len = 0;
       }
-      r.touch((file << 32) | page, is_write);
-      EXPECT_EQ(c.resident(file, offset, Bytes::kib(256)),
-                r.resident((file << 32) | page))
+      const std::uint64_t kind = rg.next_below(100);
+      if (kind < m.write_pct) {
+        co_await c.write(file, Bytes(offset), Bytes(len));
+        r.access(file, offset, len, true);
+      } else if (kind < m.write_pct + m.read_pct) {
+        co_await c.read(file, Bytes(offset), Bytes(len));
+        r.access(file, offset, len, false);
+      } else if (kind < m.write_pct + m.read_pct + m.flush_pct) {
+        co_await c.flush(file);
+        r.flush(file);
+      } else if (kind < m.write_pct + m.read_pct + m.flush_pct + m.drop_pct) {
+        c.drop(file);
+        r.drop(file);
+      } else {
+        EXPECT_EQ(c.crash_drop_dirty(), r.crash()) << "op " << op;
+      }
+      EXPECT_EQ(c.resident(file, Bytes(offset), Bytes(len)),
+                r.resident(file, offset, len))
           << "op " << op;
+      EXPECT_EQ(c.hits(), r.hits) << "op " << op;
+      EXPECT_EQ(c.misses(), r.misses) << "op " << op;
+      EXPECT_EQ(c.evictions(), r.evictions) << "op " << op;
+      EXPECT_EQ(c.dirty_pages(), r.dirty_pages()) << "op " << op;
+      EXPECT_EQ(c.resident_pages(), r.order.size()) << "op " << op;
+      EXPECT_EQ(c.dirty_dropped(), r.dirty_dropped) << "op " << op;
+      if (::testing::Test::HasFailure()) break;
     }
-    EXPECT_EQ(c.resident_pages(), r.order.size());
-  }(cache, ref, rng));
+  }(cache, ref, mix, Rng(seed)));
   sim.run_to_quiescence();
+  EXPECT_EQ(dev.bytes_written(), page * ref.written_pages);
+  EXPECT_EQ(cache.failed_writebacks(), 0u);
+  return ref;
+}
+
+TEST_P(Seeded, PageCacheMatchesReferenceLru) {
+  // A 16-page cache under a balanced mix: every op kind, many evictions.
+  const ReferenceLru small = run_against_reference_lru(
+      GetParam(), LruMix{16, 8, 600, 40, 40, 8, 8});
+  EXPECT_GT(small.evictions, 0u);
+  EXPECT_GT(small.dirty_dropped, 0u);
+  // A cache larger than the victim scan, written far more than read and never
+  // crashed, so the scan often runs out of pages before it finds a clean one.
+  const ReferenceLru large = run_against_reference_lru(
+      GetParam(), LruMix{192, 64, 1500, 88, 8, 2, 2});
+  EXPECT_GT(large.scan_limited, 0u);
 }
 
 // --- FileLock: exclusion invariant + readers drain ------------------------------

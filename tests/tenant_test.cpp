@@ -160,7 +160,9 @@ TEST(TenantStream, EachPairRoutesToItsOwnConsumer) {
 
 // The merged CSV is the byte-compare surface: crash chaos in one tenant,
 // SLO guard on it, a lustre neighbor, and a noise storm — folded across
-// 1, 2, and 8 worker threads — must serialize identically.
+// 1, 2, and 8 worker threads — must serialize identically.  The storm runs
+// at intensity 1: the victim's recoveries, escalations and frames are the
+// same as at 8, for a fifth of the events.
 TEST(TenantDeterminism, CsvByteIdenticalAcrossThreadCounts) {
   auto victim = small_tenant("victim", Solution::kDyad, 2, 2, 4);
   victim.faults = "crash:0";
@@ -169,17 +171,27 @@ TEST(TenantDeterminism, CsvByteIdenticalAcrossThreadCounts) {
   victim.slo_params.min_samples = 4;
   victim.slo_params.holdoff = Duration::milliseconds(50);
   auto mc = small_multi({victim, small_tenant("peer", Solution::kLustre, 1, 2, 4),
-                         noise_tenant("storm", 8)});
+                         noise_tenant("storm", 1)});
   mc.threads = 1;
-  const std::string csv1 = run_multi_tenant(mc).to_csv();
+  const auto r1 = run_multi_tenant(mc);
+  const std::string csv1 = r1.to_csv();
   mc.threads = 2;
   const std::string csv2 = run_multi_tenant(mc).to_csv();
   mc.threads = 8;
   const std::string csv8 = run_multi_tenant(mc).to_csv();
   EXPECT_EQ(csv1, csv2);
   EXPECT_EQ(csv1, csv8);
-  // And the run was not vacuous: the crash fired and the guard moved.
+  // And the run was not vacuous: the crash fired, the guard moved, both
+  // workflows delivered every frame and the storm ran.
   ASSERT_NE(csv1.find("victim"), std::string::npos);
+  ASSERT_EQ(r1.tenants.size(), 3u);
+  const auto& v = r1.tenants[0].result.counters;
+  EXPECT_GT(v.get("crash_recoveries"), 0u);
+  EXPECT_GT(v.get("slo_escalations"), 0u);
+  EXPECT_EQ(v.get("frames_consumed"), 2ull * 4ull * mc.repetitions);
+  EXPECT_EQ(r1.tenants[1].result.counters.get("frames_consumed"),
+            1ull * 4ull * mc.repetitions);
+  EXPECT_GT(r1.tenants[2].result.counters.get("noise_ops"), 0u);
 }
 
 // --- Fault isolation -----------------------------------------------------
