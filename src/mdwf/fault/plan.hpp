@@ -111,7 +111,7 @@ void shift_node_targets(FaultPlan& plan, std::uint32_t node_base);
 // outbound blackout, and under a membership plane the node can be declared
 // lost and its processes killed while the plan itself holds no crash window.
 // The default range is every node (classic and DAG runs); a co-tenant run
-// asks per tenant slice, so a healthy neighbor keeps the classic loops.
+// asks per tenant slice, so a healthy neighbor's ranks stay crash-unaware.
 bool has_crash_in_nodes(
     const FaultPlan& plan, std::uint32_t first = 0,
     std::uint32_t count = std::numeric_limits<std::uint32_t>::max());

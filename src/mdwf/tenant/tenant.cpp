@@ -207,7 +207,7 @@ TenantRepOutcome run_tenant_repetition(const MultiTenantConfig& config,
     rs.workload = spec.workload;
     rs.checkpoint = spec.checkpoint;
     // Only the tenants whose own slice crashes, is lost or is isolated run
-    // the crash-aware loops: a healthy neighbor keeps the classic loops.
+    // crash-aware: a healthy neighbor's ranks never retry or restart.
     fault::CrashMonitor* crash = nullptr;
     if (injector != nullptr &&
         fault::has_crash_in_nodes(tp.faults, base[i], spec.nodes)) {

@@ -593,7 +593,7 @@ Dag load_workload(std::string_view reference,
   if (scheme == "synth") {
     SynthSpec spec;
     spec.topology = parse_topology(arg);
-    spec.tasks = static_cast<std::uint32_t>(defaults.synth_tasks);
+    spec.tasks = defaults.synth_tasks;
     spec.width = defaults.synth_width;
     spec.seed = defaults.synth_seed;
     spec.runtime_median_s = defaults.synth_runtime_s;

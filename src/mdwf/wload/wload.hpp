@@ -113,7 +113,7 @@ Dag generate_synthetic(const SynthSpec& spec);
 
 // Defaults a `workload=` reference is resolved against (the dag_* keys).
 struct WorkloadDefaults {
-  std::uint64_t synth_tasks = 8;
+  std::uint32_t synth_tasks = 8;
   std::uint32_t synth_width = 4;
   std::uint64_t synth_seed = 1;
   double synth_runtime_s = 2.0;      // runtime median

@@ -52,6 +52,13 @@ constexpr std::string_view kDagOnlyKeys[] = {
     "dag_tasks", "dag_width", "dag_seed",  "dag_runtime",
     "dag_bytes", "dag_chunk", "dag_scale"};
 
+// Pipeline keys a DAG run would silently ignore: its ranks are tasks placed
+// round-robin, not colocated pairs; its frames are chunks of task outputs,
+// not a model's frames at a stride; and its wiring neither compresses
+// frames nor starts OST interference.
+constexpr std::string_view kPipelineOnlyKeys[] = {
+    "pairs", "model", "stride", "colocate", "compress", "interference"};
+
 void require_positive(std::string_view key, std::uint64_t v) {
   if (v == 0) throw ConfigError(std::string(key) + " must be >= 1, got 0");
 }
@@ -259,6 +266,13 @@ EnsembleConfig parse_ensemble_config(const KeyValueConfig& cfg,
           "checkpoint records are not supported with DAG workloads (a "
           "restarted task re-executes from its first frame)");
     }
+    for (const std::string_view k : kPipelineOnlyKeys) {
+      if (cfg.has(k)) {
+        throw ConfigError(std::string(k) +
+                          " does not apply to DAG workloads; drop " +
+                          std::string(k) + "= when workload= is set");
+      }
+    }
     if (config.testbed.membership.enabled) {
       throw ConfigError(
           "the membership plane (rank migration) does not support DAG "
@@ -281,7 +295,7 @@ EnsembleConfig parse_ensemble_config(const KeyValueConfig& cfg,
           "workload=");
     }
     wload::WorkloadDefaults wd;
-    wd.synth_tasks = cfg.get_uint("dag_tasks", wd.synth_tasks);
+    wd.synth_tasks = cfg.get_u32("dag_tasks", wd.synth_tasks);
     wd.synth_width = cfg.get_u32("dag_width", wd.synth_width);
     wd.synth_seed = cfg.get_uint("dag_seed", wd.synth_seed);
     wd.synth_runtime_s = cfg.get_double("dag_runtime", wd.synth_runtime_s);

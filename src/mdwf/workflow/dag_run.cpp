@@ -1,7 +1,6 @@
 #include "mdwf/workflow/dag_run.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -11,19 +10,6 @@
 #include "mdwf/workflow/rank_loop.hpp"
 
 namespace mdwf::workflow {
-
-std::string dag_frame_path(std::uint32_t edge, std::uint64_t f) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "dag%04u/frame%05llu", edge,
-                static_cast<unsigned long long>(f));
-  return buf;
-}
-
-std::string dag_edge_prefix(std::uint32_t edge) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "dag%04u/", edge);
-  return buf;
-}
 
 DagPlan plan_dag(const wload::Dag& dag, Bytes chunk, std::uint32_t nodes) {
   MDWF_ASSERT_MSG(chunk.count() > 0, "dag chunk size must be positive");
@@ -62,187 +48,15 @@ DagPlan plan_dag(const wload::Dag& dag, Bytes chunk, std::uint32_t nodes) {
 
 namespace {
 
-// One side of one edge, from the owning task's point of view.
-struct DagRankIo {
-  Connector* conn = nullptr;
-  std::vector<TimePoint>* pub = nullptr;  // per-frame publish stamps
-  std::uint32_t peer_node = 0;            // the edge's other end
-};
-
-struct DagTaskContext {
-  RankEnv env;
-  const wload::TaskSpec* spec = nullptr;
-  const DagPlan* plan = nullptr;
-  std::uint32_t task = 0;
-  std::vector<DagRankIo> in;   // aligned with plan->in_edges[task]
-  std::vector<DagRankIo> out;  // aligned with plan->out_edges[task]
-  Rng rng{1};
-  RankStats* prod_stats = nullptr;  // publish units
-  RankStats* cons_stats = nullptr;  // fetch units
-  Samples* fetch_samples = nullptr;
-  double runtime_scale = 1.0;
-  double analytics_scale = 1.0;
-  double jitter_sigma = 0.0;
-  double stagger = 1.0;
-  DagProbe* probe = nullptr;
-};
-
-// One workflow task: fetch every parent frame (in-edge order), run the
-// compute budget, publish every output frame to every out-edge, then drain
-// the manual-sync barriers.  Crash-aware but checkpoint-free: an epoch
-// change restarts the whole task; idempotent connectors make that safe.
-sim::Task<void> run_dag_task(DagTaskContext ctx) {
-  const RankEnv& env = ctx.env;
-  auto& sim = *env.sim;
-  auto& rec = *env.recorder;
-  const auto& in_ids = ctx.plan->in_edges[ctx.task];
-  const auto& out_ids = ctx.plan->out_edges[ctx.task];
-
-  std::uint64_t in_total = 0;
-  std::vector<std::uint64_t> in_base(in_ids.size(), 0);  // linear unit base
-  for (std::size_t i = 0; i < in_ids.size(); ++i) {
-    in_base[i] = in_total;
-    in_total += ctx.plan->edges[in_ids[i]].frames;
-  }
-  // Every out-edge of a task carries the same frame sequence.
-  const std::uint64_t out_frames =
-      out_ids.empty() ? 0 : ctx.plan->edges[out_ids[0]].frames;
-
-  const Duration runtime = ctx.spec->runtime * ctx.runtime_scale;
-  const bool both = !in_ids.empty() && !out_ids.empty();
-  const Duration fetch_budget =
-      in_ids.empty() ? Duration::zero() : (both ? runtime * 0.5 : runtime);
-  const Duration produce_budget =
-      out_ids.empty() ? Duration::zero() : (both ? runtime * 0.5 : runtime);
-  const Duration analytics_slice =
-      in_total == 0 ? Duration::zero()
-                    : (fetch_budget * (1.0 / static_cast<double>(in_total))) *
-                          ctx.analytics_scale;
-  const Duration compute_slice =
-      out_frames == 0
-          ? Duration::zero()
-          : produce_budget * (1.0 / static_cast<double>(out_frames));
-
-  if (in_ids.empty() && !out_ids.empty() && ctx.stagger > 0.0) {
-    // Source tasks start with a launch/equilibration offset, like the
-    // classic producers; downstream tasks are desynchronized by their
-    // inputs' arrival instead.
-    co_await sim.delay(compute_slice *
-                       (ctx.stagger * ctx.rng.next_double()));
-  }
-
-  std::uint64_t cons_high = 0;
-  std::uint64_t prod_high = 0;
-  for (bool completed = false; !completed;) {
-    const std::uint64_t run_epoch = rank_epoch(env);
-    bool crashed = false;
-
-    // ---- Fetch phase: a task is runnable per-frame — analytics overlap
-    // the parents still publishing, exactly like the classic consumer.
-    for (std::size_t ei = 0; ei < in_ids.size() && !crashed; ++ei) {
-      const DagEdgePlan& e = ctx.plan->edges[in_ids[ei]];
-      const DagRankIo& io = ctx.in[ei];
-      for (std::uint64_t f = 0; f < e.frames && !crashed; ++f) {
-        const std::uint64_t unit = in_base[ei] + f;
-        const TimePoint fetch_start = sim.now();
-        const std::string path = dag_frame_path(in_ids[ei], f);
-        const FrameOp got = co_await retry_frame_op(
-            env, run_epoch, io.peer_node, ctx.cons_stats, "consume",
-            [&] { return io.conn->get(path, e.frame_bytes, f); });
-        if (got == FrameOp::kDone && ctx.fetch_samples != nullptr) {
-          // Same availability-relative metric as the classic consumer.
-          if (const auto latency_us =
-                  fetch_latency_us(sim.now(), fetch_start, *io.pub, f)) {
-            ctx.fetch_samples->add(*latency_us);
-          }
-        }
-        if (rank_epoch(env) != run_epoch) {
-          crashed = true;
-          break;
-        }
-        trace_frame(env, unit);
-        if (ctx.probe != nullptr) {
-          ctx.probe->on_fetch(ctx.task, in_ids[ei], f, sim.now());
-        }
-        if (!analytics_slice.is_zero()) {
-          perf::ScopedRegion ana(rec, "analytics",
-                                 perf::Category::kCompute);
-          co_await sim.delay(analytics_slice * cpu_dilation(env));
-        }
-        io.conn->acknowledge(f);
-        count_frame(ctx.cons_stats, unit, cons_high);
-      }
-    }
-
-    // ---- Compute + publish phase.
-    if (!crashed && in_ids.empty() && out_ids.empty() &&
-        !runtime.is_zero()) {
-      // Isolated task: pure compute, no movement.
-      perf::ScopedRegion compute(rec, "md_compute",
-                                 perf::Category::kCompute);
-      co_await sim.delay(runtime * cpu_dilation(env));
-    }
-    for (std::uint64_t f = 0; f < out_frames && !crashed; ++f) {
-      {
-        perf::ScopedRegion compute(rec, "md_compute",
-                                   perf::Category::kCompute);
-        const double jitter =
-            std::max(-0.5, ctx.rng.normal(0.0, ctx.jitter_sigma));
-        co_await sim.delay(compute_slice *
-                           ((1.0 + jitter) * cpu_dilation(env)));
-      }
-      for (std::size_t oi = 0; oi < out_ids.size() && !crashed; ++oi) {
-        const DagEdgePlan& e = ctx.plan->edges[out_ids[oi]];
-        const DagRankIo& io = ctx.out[oi];
-        const std::uint64_t unit = f * out_ids.size() + oi;
-        const std::string path = dag_frame_path(out_ids[oi], f);
-        const FrameOp put = co_await retry_frame_op(
-            env, run_epoch, io.peer_node, ctx.prod_stats, "produce",
-            [&] { return io.conn->put(path, e.frame_bytes, f); });
-        if (put == FrameOp::kDone) (*io.pub)[f] = sim.now();
-        if (rank_epoch(env) != run_epoch) {
-          crashed = true;
-          break;
-        }
-        trace_frame(env, in_total + unit);
-        if (ctx.probe != nullptr) {
-          ctx.probe->on_publish(ctx.task, out_ids[oi], f, sim.now());
-        }
-        count_frame(ctx.prod_stats, unit, prod_high);
-      }
-    }
-
-    // ---- End-of-edge barriers (manual-sync solutions): wait for every
-    // child to drain this task's frames.  The classic per-frame
-    // producer_sync would deadlock on diamond graphs, so the producer-side
-    // serialization moves to one barrier per edge; the consumer-side
-    // per-frame wait (the explicit_sync idle) is untouched.
-    for (std::size_t oi = 0; oi < out_ids.size() && !crashed; ++oi) {
-      const DagEdgePlan& e = ctx.plan->edges[out_ids[oi]];
-      co_await ctx.out[oi].conn->producer_sync(e.frames - 1);
-      crashed = rank_epoch(env) != run_epoch;
-    }
-
-    // A crash during a pure-compute stretch raises no exception; the
-    // epoch check here catches it before the task declares itself done.
-    if (!crashed && rank_epoch(env) == run_epoch) {
-      completed = true;
-      continue;
-    }
-    co_await await_restart(env,
-                           !in_ids.empty() ? ctx.cons_stats : ctx.prod_stats);
-  }
-  if (ctx.probe != nullptr) ctx.probe->on_complete(ctx.task, sim.now());
-}
-
 // Everything the DAG rank coroutines reference; declared before the
 // repetition's testbed (run_rank_repetition).
 struct DagAssets {
   std::vector<std::unique_ptr<perf::Recorder>> recs;  // per task
   std::vector<std::unique_ptr<ExplicitSync>> syncs;
-  std::vector<std::unique_ptr<Connector>> prod_conn;  // per edge
-  std::vector<std::unique_ptr<Connector>> cons_conn;  // per edge
-  std::vector<std::unique_ptr<std::vector<TimePoint>>> pub_times;  // per edge
+  std::vector<Edge> edges;  // per plan edge
+  // The consumer end of edge e at index e (edges are child-major, so each
+  // task's in-ends are contiguous), then the producer ends task by task.
+  std::vector<EdgeEnd> ends;
   std::vector<RankStats> stats;  // 2 per task: publish units, fetch units
   std::vector<sim::Task<void>> tasks;
 };
@@ -274,72 +88,75 @@ RepOutcome run_dag_repetition(const EnsembleConfig& config, std::uint32_t rep,
     }
 
     // Per-edge movement plumbing: producer-side connector at the parent's
-    // node, consumer-side at the child's, sharing one level-triggered sync
-    // (manual-sync solutions) and one publish-stamp vector.
-    for (std::size_t e = 0; e < plan.edges.size(); ++e) {
+    // node, consumer-side at the child's.
+    const std::size_t nedges = plan.edges.size();
+    assets.edges.resize(nedges);
+    assets.ends.resize(2 * nedges);
+    std::vector<std::size_t> out_first(ntasks);
+    for (std::size_t t = 0, next = nedges; t < ntasks; ++t) {
+      out_first[t] = next;
+      next += plan.out_edges[t].size();
+    }
+    std::vector<std::size_t> out_next = out_first;
+    for (std::size_t e = 0; e < nedges; ++e) {
       const DagEdgePlan& ep = plan.edges[e];
-      const std::uint32_t pnode = plan.node_of[ep.parent];
-      const std::uint32_t cnode = plan.node_of[ep.child];
-      ExplicitSync* sync = nullptr;
-      if (config.solution == Solution::kXfs ||
-          config.solution == Solution::kLustre) {
-        assets.syncs.push_back(std::make_unique<ExplicitSync>(sim));
-        sync = assets.syncs.back().get();
-      }
-      const ConnectorSpec pspec{.testbed = &tb,
-                                .solution = config.solution,
-                                .node = pnode,
-                                .sync = sync,
-                                .recorder = assets.recs[ep.parent].get()};
-      const ConnectorSpec cspec{.testbed = &tb,
-                                .solution = config.solution,
-                                .node = cnode,
-                                .sync = sync,
-                                .recorder = assets.recs[ep.child].get()};
-      assets.prod_conn.push_back(make_connector(pspec));
-      assets.cons_conn.push_back(make_connector(cspec));
-      subscribe_consumer(tb, config.solution,
-                         dag_edge_prefix(static_cast<std::uint32_t>(e)),
-                         cnode);
-      assets.pub_times.push_back(std::make_unique<std::vector<TimePoint>>(
-          ep.frames, TimePoint::origin()));
+      Edge& edge = assets.edges[e];
+      edge.prefix = edge_prefix("", "dag", static_cast<std::uint32_t>(e));
+      edge.id = static_cast<std::uint32_t>(e);
+      edge.frames = ep.frames;
+      edge.frame_bytes = ep.frame_bytes;
+      edge.published.assign(ep.frames, TimePoint::origin());
+      wire_edge(tb, config.solution, nullptr, assets.syncs, edge,
+                assets.ends[out_next[ep.parent]++], plan.node_of[ep.parent],
+                *assets.recs[ep.parent], assets.ends[e],
+                plan.node_of[ep.child], *assets.recs[ep.child]);
     }
 
     for (std::size_t t = 0; t < ntasks; ++t) {
-      DagTaskContext ctx;
-      ctx.env = {.sim = &sim,
-                 .recorder = assets.recs[t].get(),
-                 .node = plan.node_of[t],
-                 .crash = crash,
-                 .injector = tb.fault_injector()};
-      ctx.spec = &dag.tasks[t];
-      ctx.plan = &plan;
-      ctx.task = static_cast<std::uint32_t>(t);
-      for (const std::uint32_t e : plan.in_edges[t]) {
-        ctx.in.push_back(DagRankIo{assets.cons_conn[e].get(),
-                                   assets.pub_times[e].get(),
-                                   plan.node_of[plan.edges[e].parent]});
-      }
-      for (const std::uint32_t e : plan.out_edges[t]) {
-        ctx.out.push_back(DagRankIo{assets.prod_conn[e].get(),
-                                    assets.pub_times[e].get(),
-                                    plan.node_of[plan.edges[e].child]});
-      }
-      ctx.rng = rep_rng.fork("dag-task" + std::to_string(t));
-      ctx.prod_stats = &assets.stats[2 * t];
-      ctx.cons_stats = &assets.stats[2 * t + 1];
-      ctx.fetch_samples = &out.cons_fetch_us;
-      ctx.runtime_scale = config.dag_runtime_scale;
-      ctx.analytics_scale = config.workload.analytics_scale;
-      ctx.jitter_sigma = config.workload.step_jitter_sigma;
-      ctx.stagger = config.workload.start_stagger;
-      ctx.probe = probe;
+      const std::vector<std::uint32_t>& in_ids = plan.in_edges[t];
+      const std::vector<std::uint32_t>& out_ids = plan.out_edges[t];
+      // A task spends its runtime half fetching and half publishing (all of
+      // it on its one side if it has only one): analytics per fetched
+      // frame, md_compute per published frame.
+      std::uint64_t in_total = 0;
+      for (const std::uint32_t e : in_ids) in_total += plan.edges[e].frames;
+      const std::uint64_t out_frames =
+          out_ids.empty() ? 0 : plan.edges[out_ids[0]].frames;
+      const Duration runtime = dag.tasks[t].runtime * config.dag_runtime_scale;
+      const Duration share =
+          !in_ids.empty() && !out_ids.empty() ? runtime * 0.5 : runtime;
+
+      TaskContext ctx{
+          .env = {.sim = &sim,
+                  .recorder = assets.recs[t].get(),
+                  .node = plan.node_of[t],
+                  .crash = crash,
+                  .injector = tb.fault_injector()},
+          .in = {assets.ends.data() + (in_ids.empty() ? 0 : in_ids[0]),
+                 in_ids.size()},
+          .out = {assets.ends.data() + out_first[t], out_ids.size()},
+          .compute = out_frames == 0
+                         ? runtime
+                         : share * (1.0 / static_cast<double>(out_frames)),
+          .analytics =
+              in_total == 0
+                  ? Duration::zero()
+                  : (share * (1.0 / static_cast<double>(in_total))) *
+                        config.workload.analytics_scale,
+          .jitter_sigma = config.workload.step_jitter_sigma,
+          .stagger = config.workload.start_stagger,
+          .rng = rep_rng.fork("dag-task" + std::to_string(t)),
+          .prod_stats = &assets.stats[2 * t],
+          .cons_stats = &assets.stats[2 * t + 1],
+          .fetch_samples = &out.cons_fetch_us,
+          .probe = probe,
+          .task = static_cast<std::uint32_t>(t)};
       if (obs::TraceSink* sink = tb.params().trace) {
         attach_trace_lane(ctx.env, *sink,
                           "node" + std::to_string(ctx.env.node),
                           "task" + std::to_string(t));
       }
-      assets.tasks.push_back(run_dag_task(std::move(ctx)));
+      assets.tasks.push_back(run_task(std::move(ctx)));
     }
     return std::move(assets.tasks);
   };
@@ -398,8 +215,8 @@ RepOutcome run_dag_repetition(const EnsembleConfig& config, std::uint32_t rep,
                                         ? plan.total_edge_frames - consumed
                                         : 0);
     if (config.solution == Solution::kDyad) {
-      for (const auto& conn : assets.cons_conn) {
-        add_dyad_consumer_counters(*conn, out.counters);
+      for (std::size_t e = 0; e < plan.edges.size(); ++e) {
+        add_dyad_consumer_counters(*assets.ends[e].conn, out.counters);
       }
     }
     add_node_counters(tb, config.solution, 0, config.nodes, out.counters);

@@ -1,9 +1,10 @@
 // DAG workload execution on the workflow testbed (mdwf::wload graphs).
 //
-// Generalizes run_repetition's fixed producer→consumer pipeline into
-// dependency-driven rank loops: one coroutine per workflow task, one
-// connector pair per DAG edge.  A task fetches every parent frame through
-// its in-edge connectors (so it cannot start computing before its inputs
+// Generalizes run_repetition's fixed producer→consumer pipeline to a
+// dependency graph: one rank per workflow task, one connector pair per DAG
+// edge, each rank running the one rank loop (rank_loop.hpp: run_task) that
+// the classic pairs run.  A task fetches every parent frame through its
+// in-edge connectors (so it cannot start computing before its inputs
 // verify), runs its compute budget, then publishes its output frames to
 // every out-edge — all through the configured Connector, so every
 // data-movement solution, the fault/integrity planes, and mdwf::obs
@@ -14,19 +15,19 @@
 // the same frame sequence, and each edge has its own path prefix
 // ("dag%04u/") for push-mode and stream subscriptions.
 //
-// Manual-sync solutions (XFS/Lustre) keep the per-frame consumer-side
-// wait (`explicit_sync` idle) but defer the producer-side barrier to the
-// end of each edge: the classic per-frame producer_sync generalizes to a
-// deadlock on diamond graphs (a producer blocked on one child's acks
-// while that child waits for a sibling's output).
+// DAG edges are batch edges: manual-sync solutions (XFS/Lustre) keep the
+// per-frame consumer-side wait (`explicit_sync` idle) but drain the
+// producer-side barrier once at the end of each edge, because the classic
+// per-frame producer_sync deadlocks on diamond graphs (a producer blocked
+// on one child's acks while that child waits for a sibling's output).
 //
-// Crash model: DAG ranks are crash-aware but checkpoint-free — a restart
-// re-executes the whole task (fetch phase included).  Connector puts are
-// idempotent and ExplicitSync marks are level-triggered, so re-execution
-// is safe; RankStats separates distinct progress from re-execution.  The
-// membership plane (rank migration) is not supported with DAG workloads;
-// parse_ensemble_config rejects the combination and the node-loss
-// scenarios that need it.
+// Crash model: DAG ranks are crash-aware but have no progress record — a
+// restart re-executes the whole task (fetch phase included).  Connector
+// puts are idempotent and ExplicitSync marks are level-triggered, so
+// re-execution is safe; RankStats separates distinct progress from
+// re-execution.  The membership plane (rank migration) is not supported
+// with DAG workloads; parse_ensemble_config rejects the combination and
+// the node-loss scenarios that need it.
 #pragma once
 
 #include <cstdint>
@@ -39,12 +40,6 @@ struct Dag;
 }
 
 namespace mdwf::workflow {
-
-// Frame path of DAG edge `edge`, frame `f`, and the edge's path prefix
-// (push-mode / stream subscription key) — the DAG analogs of frame_path /
-// pair_prefix.
-std::string dag_frame_path(std::uint32_t edge, std::uint64_t f);
-std::string dag_edge_prefix(std::uint32_t edge);
 
 // One inter-task edge with its frame layout.
 struct DagEdgePlan {

@@ -1,9 +1,8 @@
 #include "mdwf/workflow/ensemble.hpp"
 
-#include <algorithm>
-#include <cstdio>
 #include <memory>
-#include <vector>
+#include <string>
+#include <utility>
 
 #include "mdwf/common/assert.hpp"
 #include "mdwf/workflow/dag_run.hpp"
@@ -12,241 +11,10 @@
 namespace mdwf::workflow {
 
 std::string frame_path(std::uint32_t pair, std::uint64_t f) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "pair%04u/frame%05llu", pair,
-                static_cast<unsigned long long>(f));
-  return buf;
-}
-
-std::string pair_prefix(std::uint32_t pair) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "pair%04u/", pair);
-  return buf;
+  return frame_key(edge_prefix("", "pair", pair), f);
 }
 
 namespace {
-
-// Everything one classic rank needs on top of its RankEnv: its slice of the
-// workload, checkpoint and migration hooks.  Passed by value into the rank
-// coroutines — a context outlives nothing; the pointed-to objects must
-// outlive the rank.
-struct RankContext {
-  RankEnv env;
-  Connector* connector = nullptr;
-  WorkloadConfig workload{};
-  std::uint32_t pair = 0;
-  // Path namespace prepended to every frame path ("" classic;
-  // "<tenant>/" in multi-tenant runs so co-tenant frames never collide).
-  std::string ns;
-  // SLO pacing hook (null = none; see PacingHook).
-  PacingHook* pacing = nullptr;
-  Rng rng{1};  // producers only; consumers draw nothing
-  // Progress record to roll back to; null = restart re-executes everything.
-  Checkpoint* checkpoint = nullptr;
-  RankStats* stats = nullptr;
-  // Node the pair's other rank started on (a peer on a permanently-lost
-  // node can never re-supply frames without a plane).
-  std::uint32_t peer_node = 0;
-  // Peer rank's progress record, for the pair-min coordinated rollback: a
-  // migrated producer re-produces everything its consumer has not durably
-  // consumed (the lost node's copies are unreachable).
-  Checkpoint* peer_checkpoint = nullptr;
-  // With a membership plane: rebuilds this rank's node-bound resources
-  // (connector, subscriptions, checkpoint home) on the new node and returns
-  // the replacement connector.
-  std::function<Connector*(std::uint32_t node, std::uint64_t restart)>
-      rebuild{};
-  // Consumers only (non-null = record): per-frame get() latency in
-  // microseconds, the distribution behind the frame-fetch P99.
-  Samples* fetch_samples = nullptr;
-  // Shared per-pair frame publication times (index = frame).  The producer
-  // stamps each frame when its put completes; the consumer measures fetch
-  // latency from max(request, publish) so the metric is the cost of
-  // *moving* an available frame (the closed-loop variant of coordinated
-  // omission: an unmitigated-slow consumer never arrives early, so raw
-  // wall-clock would flatter exactly the configurations without health).
-  std::vector<TimePoint>* publish_times = nullptr;
-};
-
-// Rank restart after its node failed underneath it.  Without a membership
-// plane: park until power-on, then roll back to the last durable
-// checkpoint.  With one: a rank whose home was declared lost re-homes onto
-// a surviving node, rolls back to the pair-min of both ranks' durable
-// records (the coordinated rollback that re-produces everything the
-// surviving peer still needs), and rebinds its node-local resources there.
-// Returns the frame to resume from; may change the node/connector.
-sim::Task<std::uint64_t> crash_restart(RankContext& ctx) {
-  const std::uint32_t target = co_await await_restart(ctx.env, ctx.stats);
-  if (target != ctx.env.node) {
-    std::uint64_t restart = 0;
-    if (ctx.checkpoint != nullptr) {
-      restart = ctx.checkpoint->durable();
-      if (ctx.peer_checkpoint != nullptr) {
-        restart = std::min(restart, ctx.peer_checkpoint->durable());
-      }
-    }
-    if (ctx.rebuild) ctx.connector = ctx.rebuild(target, restart);
-    ctx.env.node = target;
-  }
-  co_return ctx.checkpoint != nullptr ? ctx.checkpoint->restore() : 0;
-}
-
-// Frames below a restored checkpoint are durably complete; credit the ones
-// not yet counted (a crash can land between persist(f+1) and count_frame,
-// rolling the rank *forward* past an uncounted frame).
-void credit_restored(RankStats* stats, std::uint64_t restored,
-                     std::uint64_t& high) {
-  if (restored <= high) return;
-  if (stats != nullptr) stats->frames_done += restored - high;
-  high = restored;
-}
-
-// One producer rank: regions md_compute / serialize / produce /
-// producer_sync (plus fault_retry / crash_restart when recovering).
-sim::Task<void> run_producer(RankContext ctx) {
-  const RankEnv& env = ctx.env;
-  auto& sim = *env.sim;
-  auto& recorder = *env.recorder;
-  const WorkloadConfig& workload = ctx.workload;
-  const Bytes wire_bytes = workload.wire_bytes();
-  if (workload.start_stagger > 0.0) {
-    // Launch/equilibration phase offset; desynchronizes ensemble members.
-    co_await sim.delay(workload.frame_compute() *
-                       (workload.start_stagger * ctx.rng.next_double()));
-  }
-  std::uint64_t completed_high = 0;
-  std::uint64_t f = 0;
-  while (f < workload.frames) {
-    const std::uint64_t frame_epoch = rank_epoch(env);
-    if (ctx.pacing != nullptr) {
-      // SLO-guard throttle: under contention the guard staggers production
-      // so the tenant's consumer (and its neighbors) can catch up.
-      const Duration hold = ctx.pacing->producer_delay(f);
-      if (hold > Duration::zero()) {
-        perf::ScopedRegion pace(recorder, "slo_stagger",
-                                perf::Category::kIdle);
-        co_await sim.delay(hold);
-      }
-    }
-    {
-      // MD steps between output frames; jitter models run-to-run rate
-      // variability of a real simulation.  Re-executed frames redo the full
-      // stride: the crash lost the in-memory MD state past the checkpoint.
-      perf::ScopedRegion compute(recorder, "md_compute",
-                                 perf::Category::kCompute);
-      const double jitter =
-          std::max(-0.5, ctx.rng.normal(0.0, workload.step_jitter_sigma));
-      co_await sim.delay(workload.frame_compute() *
-                         ((1.0 + jitter) * cpu_dilation(env)));
-    }
-    {
-      perf::ScopedRegion ser(recorder, "serialize", perf::Category::kCompute);
-      co_await sim.delay(workload.serialize_time() * cpu_dilation(env));
-    }
-    if (workload.compress) {
-      perf::ScopedRegion comp(recorder, "compress", perf::Category::kCompute);
-      co_await sim.delay(workload.compress_time() * cpu_dilation(env));
-    }
-    const std::string path = ctx.ns + frame_path(ctx.pair, f);
-    const FrameOp put = co_await retry_frame_op(
-        env, frame_epoch, ctx.peer_node, ctx.stats, "produce",
-        [&]() -> sim::Task<void> {
-          co_await ctx.connector->put(path, wire_bytes, f);
-          (*ctx.publish_times)[f] = sim.now();
-          if (ctx.checkpoint != nullptr) {
-            co_await ctx.checkpoint->persist(f + 1);
-          }
-        });
-    if (put != FrameOp::kDone || rank_epoch(env) != frame_epoch) {
-      // Fenced, or our node died (the put was durable iff the checkpoint
-      // says so).
-      f = co_await crash_restart(ctx);
-      credit_restored(ctx.stats, f, completed_high);
-      continue;
-    }
-    trace_frame(env, f);
-    co_await ctx.connector->producer_sync(f);
-    if (rank_epoch(env) != frame_epoch) {
-      // Node failed while parked in producer_sync (consumer acks arrive
-      // from a live node).
-      f = co_await crash_restart(ctx);
-      credit_restored(ctx.stats, f, completed_high);
-      continue;
-    }
-    count_frame(ctx.stats, f, completed_high);
-    if (ctx.pacing != nullptr) ctx.pacing->on_frame_produced(f);
-    ++f;
-  }
-  if (env.membership != nullptr) env.membership->rank_done();
-}
-
-// One consumer rank: regions consume / deserialize / analytics (plus
-// fault_retry / crash_restart when recovering).
-sim::Task<void> run_consumer(RankContext ctx) {
-  const RankEnv& env = ctx.env;
-  auto& sim = *env.sim;
-  auto& recorder = *env.recorder;
-  const WorkloadConfig& workload = ctx.workload;
-  const Bytes wire_bytes = workload.wire_bytes();
-  std::uint64_t completed_high = 0;
-  std::uint64_t f = 0;
-  while (f < workload.frames) {
-    const std::uint64_t frame_epoch = rank_epoch(env);
-    const TimePoint fetch_start = sim.now();
-    const std::string path = ctx.ns + frame_path(ctx.pair, f);
-    // A failed get polls until the producer side (crashed or re-executing)
-    // makes the frame (re)appear.
-    const FrameOp got = co_await retry_frame_op(
-        env, frame_epoch, ctx.peer_node, ctx.stats, "consume",
-        [&] { return ctx.connector->get(path, wire_bytes, f); });
-    if (got == FrameOp::kDone &&
-        (ctx.fetch_samples != nullptr || ctx.pacing != nullptr)) {
-      // The frame-fetch latency includes any retries/hedging below the
-      // connector; its P99 is the gray-failure headline metric.
-      if (const auto latency_us = fetch_latency_us(
-              sim.now(), fetch_start, *ctx.publish_times, f)) {
-        if (ctx.fetch_samples != nullptr) ctx.fetch_samples->add(*latency_us);
-        if (ctx.pacing != nullptr) ctx.pacing->on_fetch(sim.now(), *latency_us);
-      }
-    }
-    if (got != FrameOp::kDone || rank_epoch(env) != frame_epoch) {
-      f = co_await crash_restart(ctx);
-      credit_restored(ctx.stats, f, completed_high);
-      continue;
-    }
-    trace_frame(env, f);
-    if (workload.compress) {
-      perf::ScopedRegion dec(recorder, "decompress",
-                             perf::Category::kCompute);
-      co_await sim.delay(workload.decompress_time() * cpu_dilation(env));
-    }
-    {
-      perf::ScopedRegion des(recorder, "deserialize",
-                             perf::Category::kCompute);
-      co_await sim.delay(workload.serialize_time() * cpu_dilation(env));
-    }
-    {
-      // Analytics emulation matches the frame-generation frequency
-      // (paper Sec. IV-C); analytics_scale > 1 models a consumer that
-      // cannot keep pace.
-      perf::ScopedRegion ana(recorder, "analytics", perf::Category::kCompute);
-      co_await sim.delay(workload.analytics_time() * cpu_dilation(env));
-    }
-    ctx.connector->acknowledge(f);
-    if (ctx.checkpoint != nullptr) co_await ctx.checkpoint->persist(f + 1);
-    if (rank_epoch(env) != frame_epoch) {
-      // Crash during analytics/ack/persist: the analytics output since the
-      // last durable record is gone; re-consume from there.
-      f = co_await crash_restart(ctx);
-      credit_restored(ctx.stats, f, completed_high);
-      continue;
-    }
-    count_frame(ctx.stats, f, completed_high);
-    if (ctx.pacing != nullptr) ctx.pacing->on_frame_consumed(f);
-    ++f;
-  }
-  if (env.membership != nullptr) env.membership->rank_done();
-}
 
 // Registration order of every counter — the stable column order of tables
 // and CSVs across solutions and fault plans (zero when a path never fired).
@@ -298,6 +66,7 @@ void build_rank_set(Testbed& tb, const RankSetSpec& spec, const Rng& set_rng,
 
   auto& sim = tb.simulation();
   obs::TraceSink* sink = tb.params().trace;
+  const WorkloadConfig& workload = spec.workload;
 
   const std::uint32_t producer_nodes =
       colocated ? spec.nodes : spec.nodes / 2;
@@ -320,33 +89,33 @@ void build_rank_set(Testbed& tb, const RankSetSpec& spec, const Rng& set_rng,
 
   const bool ckpt_on = spec.checkpoint.resolve_enabled(crash != nullptr);
   assets.stats.assign(2 * spec.pairs, RankStats{});
+  // Sized once: the tasks hold spans into the ends, the ends into the edges.
+  assets.edges.resize(spec.pairs);
+  assets.ends.resize(2 * spec.pairs);
 
   // Migration rebinder: retire the old connector (frames in flight may
   // still unwind through it), build the solution's standard connector on
   // the new home, renew the pair's push-mode/stream subscription from
   // there, and re-home the progress record with the pair-min rollback.
-  auto make_rebuild = [&tb, &assets, solution = spec.solution, ns = spec.ns,
+  auto make_migrate = [&tb, &assets, solution = spec.solution,
                        factory = spec.connectors](
                           std::uint32_t pair, bool consumer,
                           ExplicitSync* sync, perf::Recorder* rec,
                           Checkpoint* ckpt) {
-    return [&tb, &assets, solution, ns, factory, pair, consumer, sync, rec,
-            ckpt](std::uint32_t node, std::uint64_t restart) -> Connector* {
-      auto& slot = consumer ? assets.cons_conn[pair] : assets.prod_conn[pair];
-      assets.retired_conn.push_back({pair, consumer, std::move(slot)});
+    return [&tb, &assets, solution, factory, pair, consumer, sync, rec,
+            ckpt](std::uint32_t node, std::uint64_t restart) {
+      EdgeEnd& end = assets.ends[2 * pair + (consumer ? 1 : 0)];
+      assets.retired_conn.push_back({pair, consumer, std::move(end.conn)});
       const ConnectorSpec cs{.testbed = &tb,
                              .solution = solution,
                              .node = node,
                              .sync = sync,
                              .recorder = rec};
-      slot = factory ? factory(cs, pair, consumer) : make_connector(cs);
-      if (consumer) {
-        subscribe_consumer(tb, solution, ns + pair_prefix(pair), node);
-      }
+      end.conn = factory ? factory(cs, pair, consumer) : make_connector(cs);
+      if (consumer) subscribe_consumer(tb, solution, end.edge->prefix, node);
       if (ckpt != nullptr) {
         ckpt->migrate(*tb.node(node).local_fs, node, restart);
       }
-      return slot.get();
     };
   };
 
@@ -360,35 +129,21 @@ void build_rank_set(Testbed& tb, const RankSetSpec& spec, const Rng& set_rng,
     const std::uint32_t pnode = producer_node(pair);
     const std::uint32_t cnode = consumer_node(pair);
 
-    ExplicitSync* sync = nullptr;
-    if (spec.solution == Solution::kXfs ||
-        spec.solution == Solution::kLustre) {
-      assets.syncs.push_back(std::make_unique<ExplicitSync>(sim));
-      sync = assets.syncs.back().get();
-    }
     // XFS is colocated by construction: both ranks share pnode's local FS.
     const std::uint32_t cnode_eff =
         spec.solution == Solution::kXfs ? pnode : cnode;
-    const ConnectorSpec pconn{.testbed = &tb,
-                              .solution = spec.solution,
-                              .node = pnode,
-                              .sync = sync,
-                              .recorder = &prec};
-    const ConnectorSpec cconn{.testbed = &tb,
-                              .solution = spec.solution,
-                              .node = cnode_eff,
-                              .sync = sync,
-                              .recorder = &crec};
-    assets.prod_conn.push_back(spec.connectors
-                                   ? spec.connectors(pconn, pair, false)
-                                   : make_connector(pconn));
-    assets.cons_conn.push_back(spec.connectors
-                                   ? spec.connectors(cconn, pair, true)
-                                   : make_connector(cconn));
-    // Static route: the scheduler knows the placement, so first stream
-    // frames skip the KVS cold-start handshake (which stays as the fallback
-    // for routes learned at runtime, exercised by the unit tests).
-    subscribe_consumer(tb, spec.solution, spec.ns + pair_prefix(pair), cnode);
+    // The pair's one edge streams frame by frame from producer to consumer.
+    Edge& edge = assets.edges[pair];
+    edge.prefix = edge_prefix(spec.ns, "pair", pair);
+    edge.id = pair;
+    edge.frames = workload.frames;
+    edge.frame_bytes = workload.wire_bytes();
+    edge.streams = true;
+    edge.published.assign(workload.frames, TimePoint::origin());
+    EdgeEnd* ends = &assets.ends[2 * pair];  // producer's, consumer's
+    ExplicitSync* sync =
+        wire_edge(tb, spec.solution, spec.connectors, assets.syncs, edge,
+                  ends[0], pnode, prec, ends[1], cnode_eff, crec);
 
     Checkpoint* pckpt = nullptr;
     Checkpoint* cckpt = nullptr;
@@ -405,37 +160,39 @@ void build_rank_set(Testbed& tb, const RankSetSpec& spec, const Rng& set_rng,
       cckpt = assets.ckpts.back().get();
     }
 
-    RankContext pctx{
+    TaskContext pctx{
         .env = {.sim = &sim,
                 .recorder = &prec,
                 .node = pnode,
                 .crash = crash,
                 .injector = tb.fault_injector()},
-        .connector = assets.prod_conn.back().get(),
-        .workload = spec.workload,
-        .pair = pair,
-        .ns = spec.ns,
-        .pacing = spec.pacing,
+        .out = {ends, 1},
+        // MD steps between output frames, then serialize and compress.
+        .compute = workload.frame_compute(),
+        .serialize = workload.serialize_time(),
+        .compress = workload.compress_time(),
+        .jitter_sigma = workload.step_jitter_sigma,
+        // Ensemble members are launched/equilibrated independently.
+        .stagger = workload.start_stagger,
         .rng = set_rng.fork(spec.rng_scope + "pair" + std::to_string(pair)),
+        .prod_stats = &assets.stats[2 * pair],
+        .pacing = spec.pacing,
         .checkpoint = pckpt,
-        .stats = &assets.stats[2 * pair],
-        .peer_node = cnode_eff,
         .peer_checkpoint = cckpt};
-    RankContext cctx{.env = {.sim = &sim,
+    TaskContext cctx{.env = {.sim = &sim,
                              .recorder = &crec,
                              .node = cnode_eff,
                              .crash = crash,
                              .injector = tb.fault_injector()},
-                     .connector = assets.cons_conn.back().get(),
-                     .workload = spec.workload,
-                     .pair = pair,
-                     .ns = spec.ns,
+                     .in = {ends + 1, 1},
+                     .decompress = workload.decompress_time(),
+                     .deserialize = workload.serialize_time(),
+                     .analytics = workload.analytics_time(),
+                     .cons_stats = &assets.stats[2 * pair + 1],
+                     .fetch_samples = fetch_samples,
                      .pacing = spec.pacing,
                      .checkpoint = cckpt,
-                     .stats = &assets.stats[2 * pair + 1],
-                     .peer_node = pnode,
-                     .peer_checkpoint = pckpt,
-                     .fetch_samples = fetch_samples};
+                     .peer_checkpoint = pckpt};
     if (auto* plane = tb.membership()) {
       pctx.env.membership = cctx.env.membership = plane;
       pctx.env.member_rank = plane->register_rank(pnode);
@@ -445,13 +202,10 @@ void build_rank_set(Testbed& tb, const RankSetSpec& spec, const Rng& set_rng,
         // orphan every frame, so the pair migrates as a unit.
         plane->bind_colocated(pctx.env.member_rank, cctx.env.member_rank);
       }
-      pctx.rebuild =
-          make_rebuild(pair, /*consumer=*/false, sync, &prec, pckpt);
-      cctx.rebuild = make_rebuild(pair, /*consumer=*/true, sync, &crec, cckpt);
+      pctx.migrate =
+          make_migrate(pair, /*consumer=*/false, sync, &prec, pckpt);
+      cctx.migrate = make_migrate(pair, /*consumer=*/true, sync, &crec, cckpt);
     }
-    assets.pub_times.push_back(std::make_unique<std::vector<TimePoint>>(
-        spec.workload.frames, TimePoint::origin()));
-    pctx.publish_times = cctx.publish_times = assets.pub_times.back().get();
     if (sink != nullptr) {
       // One trace lane per rank, on the process of the node it runs on.
       attach_trace_lane(pctx.env, *sink, trace_process(pnode),
@@ -459,8 +213,8 @@ void build_rank_set(Testbed& tb, const RankSetSpec& spec, const Rng& set_rng,
       attach_trace_lane(cctx.env, *sink, trace_process(cnode),
                         "consumer" + std::to_string(pair));
     }
-    assets.tasks.push_back(run_producer(pctx));
-    assets.tasks.push_back(run_consumer(cctx));
+    assets.tasks.push_back(run_task(std::move(pctx)));
+    assets.tasks.push_back(run_task(std::move(cctx)));
   }
 }
 
@@ -498,7 +252,8 @@ void collect_rank_set(Testbed& tb, const RankSetSpec& spec,
     if (spec.solution == Solution::kDyad) {
       // A migrated consumer's pre-migration counters live on its retired
       // connector; fold every incarnation of this pair's consumer.
-      add_dyad_consumer_counters(*assets.cons_conn[pair], out.counters);
+      add_dyad_consumer_counters(*assets.ends[2 * pair + 1].conn,
+                                 out.counters);
       for (const auto& r : assets.retired_conn) {
         if (r.pair == pair && r.consumer) {
           add_dyad_consumer_counters(*r.conn, out.counters);

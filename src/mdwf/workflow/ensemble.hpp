@@ -101,10 +101,8 @@ struct WorkloadConfig {
   }
 };
 
-// Frame file path for pair `pair` frame `f`, and the pair's path prefix
-// (push-mode subscription key).
+// Frame file path for pair `pair` frame `f` ("pair0003/frame00017").
 std::string frame_path(std::uint32_t pair, std::uint64_t f);
-std::string pair_prefix(std::uint32_t pair);
 
 // SLO-guard pacing hook (implemented by mdwf::tenant).  A rank with a hook
 // reports its progress and fetch latencies and asks before each frame how
@@ -129,10 +127,8 @@ class PacingHook {
   virtual void on_frame_consumed(std::uint64_t frame) { (void)frame; }
 };
 
-// Per-rank recovery bookkeeping, filled in by the rank coroutines and summed
-// into EnsembleResult counters.  The rank loops themselves live in
-// ensemble.cpp (producer/consumer) and dag_run.cpp (DAG tasks), on the
-// shared mechanics of rank_loop.hpp.
+// Per-rank recovery bookkeeping, filled in by the one rank loop
+// (rank_loop.hpp: run_task) and summed into EnsembleResult counters.
 struct RankStats {
   std::uint64_t frames_done = 0;      // distinct frames completed
   std::uint64_t reexecuted = 0;       // frame iterations redone after rollback
@@ -176,10 +172,11 @@ struct EnsembleConfig {
   std::string trace_path;
 
   // --- DAG workload (mdwf::wload; PR 10).  Non-null routes run_repetition
-  // to the dependency-driven executor in dag_run.cpp: one rank per task,
-  // one connector pair per edge; `pairs`, `frames`, `placement`, `model`,
-  // and `checkpoint` do not apply.  Null keeps the classic fixed pipeline
-  // on its exact previous code path.
+  // to the DAG wiring in dag_run.cpp: one rank per task, one connector pair
+  // per edge; `pairs`, `frames`, `placement`, `model`, `stride`,
+  // `compress`, `lustre_interference` and `checkpoint` do not apply (the
+  // key binding rejects them).  Null wires the classic fixed pipeline.
+  // Both run their ranks on the one rank loop (rank_loop.hpp).
   std::shared_ptr<const wload::Dag> dag;
   // A task's output payload is cut into ceil(bytes / dag_chunk) frames per
   // out-edge; smaller chunks stream earlier but pay more per-frame cost.
@@ -304,6 +301,40 @@ struct RankSetSpec {
   ConnectorFactory connectors;
 };
 
+// One workflow edge: `frames` frames of `frame_bytes` moving from one task
+// to another.  A classic pair is one edge from its producer to its
+// consumer; a DAG has one per dependency.
+struct Edge {
+  // "<ns><stem><id>/" ("pair0003/", "t1/pair0000/", "dag0002/"): frame f
+  // lives at prefix + "frame%05llu", and push-mode and stream consumers
+  // subscribe to the prefix.
+  std::string prefix;
+  std::uint32_t id = 0;  // pair or DAG edge index
+  std::uint64_t frames = 0;
+  Bytes frame_bytes{};
+  // A streaming edge (a classic pair) paces its producer frame by frame:
+  // producer_sync(f) after each put, and both ends check their node after
+  // every frame.  A batch edge (DAG) drains once, producer_sync(frames - 1)
+  // after the last frame: a per-frame barrier deadlocks on diamonds.
+  bool streams = false;
+  // Per-frame publish stamps (index = frame), set when a put completes.
+  // The consumer measures fetch latency from max(request, publish), so the
+  // metric is the cost of *moving* an available frame (the closed-loop
+  // variant of coordinated omission: an unmitigated-slow consumer never
+  // arrives early, so raw wall-clock would flatter exactly the
+  // configurations without health).
+  std::vector<TimePoint> published;
+};
+
+// One end of an edge, as the task at that end sees it.
+struct EdgeEnd {
+  Edge* edge = nullptr;
+  std::unique_ptr<Connector> conn;
+  // Node of the task at the other end: a peer on a permanently-lost node
+  // can never re-supply (or consume) frames without a membership plane.
+  std::uint32_t peer_node = 0;
+};
+
 // Everything a rank-set's coroutines reference.  The caller declares this
 // BEFORE the Testbed (same unwind-order contract as run_repetition: dying
 // coroutines close regions against the recorders) and keeps it alive until
@@ -312,10 +343,9 @@ struct RankSetAssets {
   std::vector<std::unique_ptr<perf::Recorder>> prod_recs;
   std::vector<std::unique_ptr<perf::Recorder>> cons_recs;
   std::vector<std::unique_ptr<ExplicitSync>> syncs;
-  std::vector<std::unique_ptr<Connector>> prod_conn;
-  std::vector<std::unique_ptr<Connector>> cons_conn;
   std::vector<std::unique_ptr<Checkpoint>> ckpts;
-  std::vector<std::unique_ptr<std::vector<TimePoint>>> pub_times;
+  std::vector<Edge> edges;             // one per pair
+  std::vector<EdgeEnd> ends;           // 2*pairs: producer's, consumer's
   std::vector<RankStats> stats;        // 2*pairs: producer, then consumer
   std::vector<sim::Task<void>> tasks;  // pair-major: producer, consumer
   // Connectors replaced by a rank migration, kept alive (frames in flight
@@ -330,12 +360,12 @@ struct RankSetAssets {
 };
 
 // Wires one rank-set onto `tb`: recorders, connectors, syncs, checkpoints,
-// subscriptions, trace lanes, and the (not yet spawned) rank tasks, in the
-// exact order the classic runner used.  `crash` non-null switches ranks to
-// their crash-aware loops (and, by default, enables checkpointing); the
-// caller decides (globally for the classic path, per tenant for co-tenant
-// runs whose neighbor crashes).  `fetch_samples` non-null records consumer
-// fetch latencies.
+// subscriptions, trace lanes, and the (not yet spawned) rank tasks, each
+// pair a producer and a consumer task joined by one streaming edge.
+// `crash` non-null makes the ranks crash-aware (and, by default, enables
+// checkpointing); the caller decides (globally for the classic path, per
+// tenant for co-tenant runs whose neighbor crashes).  `fetch_samples`
+// non-null records consumer fetch latencies.
 void build_rank_set(Testbed& tb, const RankSetSpec& spec, const Rng& set_rng,
                     fault::CrashMonitor* crash, Samples* fetch_samples,
                     RankSetAssets& assets);

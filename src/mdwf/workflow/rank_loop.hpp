@@ -1,33 +1,45 @@
-// Rank-loop mechanics shared by the workflow executors: the classic
-// producer/consumer pipeline (ensemble.cpp), the DAG task executor
-// (dag_run.cpp) and the co-tenant runner (mdwf::tenant).
+// The one rank loop of the workflow executors.  Classic producer/consumer
+// pairs (build_rank_set in ensemble.cpp, also used by mdwf::tenant for
+// co-tenant runs) and DAG tasks (dag_run.cpp) are all tasks joined by
+// edges, and every rank runs run_task over spans of its edge ends:
 //
-// What is shared: the rank environment and its helpers (epoch, CPU
-// dilation, frame markers, progress accounting), the same-frame fault-retry
-// loop around one put or get, the crash-restart wait, consumer
-// subscriptions, per-node and per-rank counter collection, and the
-// repetition shell (testbed, spawn, quiescence, shared counters, makespan).
-// What stays per executor is the loop shape itself: the classic loops own
-// per-frame producer_sync, checkpoint rollback, migration, pacing and
-// (de)serialization; the DAG task owns multi-edge fetch/publish order, the
-// end-of-edge barrier and whole-task restart.
+//   fetch phase    every frame of every in-edge: get (retried after remote
+//                  faults), fetch latency, node check, then the decompress,
+//                  deserialize and analytics stages, ack, progress record;
+//   publish phase  per frame: pacing hold, md_compute, serialize and
+//                  compress stages, then a put to every out-edge, stamped
+//                  and recorded;
+//   drain          producer_sync(frames - 1) once per batch (DAG) edge;
+//   restart        park until the node is back (or migrate, with a
+//                  membership plane), then resume from the progress record,
+//                  or from frame zero without one.
+//
+// The wirers differ only in data: a classic pair is two tasks joined by one
+// edge that streams per frame (producer_sync after each put, a node check
+// after each consumed frame), a DAG edge drains once; the wirer sets the
+// stage costs, and the progress record, pacing hook, migration and probe
+// are null when absent.
+//
+// Also here: the rank environment, consumer subscriptions, per-node and
+// per-rank counter collection, and the repetition shell (testbed, spawn,
+// quiescence, shared counters, makespan).
 #pragma once
 
 #include <cstdint>
-#include <exception>
 #include <functional>
-#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "mdwf/common/fence.hpp"
 #include "mdwf/workflow/ensemble.hpp"
 
 namespace mdwf::workflow {
 
-// What the shared mechanics read from a running rank.  Executor contexts
-// embed one; every pointer must outlive the rank coroutine.
+class DagProbe;
+
+// What the rank loop reads from a running rank; every pointer must outlive
+// the rank coroutine.
 struct RankEnv {
   sim::Simulation* sim = nullptr;
   perf::Recorder* recorder = nullptr;
@@ -50,118 +62,81 @@ struct RankEnv {
   std::uint32_t member_rank = 0;
 };
 
-// The rank's node epoch (0 without a crash model); a change means the node
-// crashed underneath the rank.
-inline std::uint64_t rank_epoch(const RankEnv& env) {
-  return env.crash != nullptr ? env.crash->epoch(env.node) : 0;
-}
+// Everything one rank needs.  Passed by value into run_task; the objects it
+// points to (edge ends included) must outlive the rank.
+struct TaskContext {
+  RankEnv env;
+  // Edge ends in the caller's assets: every frame of each `in` end is
+  // fetched in order, and each published frame goes to every `out` end.
+  // Every out-edge of a task carries the same frame count.
+  std::span<EdgeEnd> in{};
+  std::span<EdgeEnd> out{};
+  // Stage costs at full CPU speed.  md_compute costs `compute` per
+  // published frame (an edgeless task computes it once); serialize and
+  // compress run before each put, decompress, deserialize and analytics
+  // after each get.  A stage that costs zero opens no region.
+  Duration compute{};
+  Duration serialize{};
+  Duration compress{};
+  Duration decompress{};
+  Duration deserialize{};
+  Duration analytics{};
+  // Relative std-dev of md_compute (rate variability of a real simulation).
+  double jitter_sigma = 0.0;
+  // A source task starts after a launch/equilibration offset uniform in
+  // [0, stagger * compute); 0 disables.
+  double stagger = 0.0;
+  Rng rng{1};
+  RankStats* prod_stats = nullptr;  // publish units
+  RankStats* cons_stats = nullptr;  // fetch units
+  // Non-null records the availability-relative latency of every fetch.
+  Samples* fetch_samples = nullptr;
+  // SLO pacing hook (null = none; see PacingHook).
+  PacingHook* pacing = nullptr;
+  // Progress record to resume from; null = a restart re-executes the task
+  // from frame zero.  A record counts the frames of a task's one phase.
+  Checkpoint* checkpoint = nullptr;
+  // The peer's record, for the pair-min rollback of a migrated rank: it
+  // re-produces everything its consumer has not durably consumed (the lost
+  // node's copies are unreachable).
+  Checkpoint* peer_checkpoint = nullptr;
+  // With a membership plane: rebinds this rank's node-bound resources
+  // (connector, subscription, record home) on `node`, rolling the record
+  // back to `restart`.
+  std::function<void(std::uint32_t node, std::uint64_t restart)> migrate{};
+  // Test-only lifecycle hook (null = off) and this task's index for it.
+  DagProbe* probe = nullptr;
+  std::uint32_t task = 0;
+};
 
-// Fail-slow CPU: compute bursts stretch by the injector's current dilation
-// for this rank's node (kSlowNode windows; x1.0 outside them).
-inline double cpu_dilation(const RankEnv& env) {
-  return env.injector != nullptr ? env.injector->cpu_dilation(env.node) : 1.0;
-}
+// Runs one rank to completion: the fetch and publish phases, the drain of
+// the batch edges, and the restart path after a crash or a fence.
+sim::Task<void> run_task(TaskContext ctx);
 
-// Frame-boundary timeline marker ("f=<n>") on the rank's trace lane.  The
-// frame number rides as the record payload; the name materializes at export.
-inline void trace_frame(const RankEnv& env, std::uint64_t f) {
-  if (env.trace == nullptr) return;
-  env.trace->instant(env.frame_marker, env.sim->now(),
-                     static_cast<std::int64_t>(f));
-}
+// "<ns><stem><id>/": the path prefix of an edge (see Edge::prefix).
+std::string edge_prefix(std::string_view ns, std::string_view stem,
+                        std::uint32_t id);
+
+// Wires `edge` (prefix set) from a producer end on `pnode`, recording into
+// `prec`, to a consumer end on `cnode` (`crec`): a level-triggered sync
+// when the solution syncs by hand (XFS, Lustre), both connectors, the
+// producer's first (from `factory` when set, with the edge id as its pair),
+// and the consumer's push-mode/stream subscription to the prefix.  Returns
+// the sync, or null.
+ExplicitSync* wire_edge(Testbed& tb, Solution solution,
+                        const ConnectorFactory& factory,
+                        std::vector<std::unique_ptr<ExplicitSync>>& syncs,
+                        Edge& edge, EdgeEnd& producer, std::uint32_t pnode,
+                        perf::Recorder& prec, EdgeEnd& consumer,
+                        std::uint32_t cnode, perf::Recorder& crec);
+
+// "<prefix>frame%05llu": the path of frame `f` of the edge under `prefix`.
+std::string frame_key(std::string_view prefix, std::uint64_t f);
 
 // Gives the rank a trace lane `thread` on trace process `process` and
 // routes its recorder's region spans there.
 void attach_trace_lane(RankEnv& env, obs::TraceSink& sink,
                        const std::string& process, const std::string& thread);
-
-// Account a finished frame iteration: distinct progress vs post-rollback
-// re-execution.
-void count_frame(RankStats* stats, std::uint64_t f, std::uint64_t& high);
-
-// Crash restart, first half: park in a `crash_restart` region until the
-// rank's node is back up — or, with a membership plane, until the plane
-// says it recovers or re-homes the rank — and count the recovery.  Returns
-// the node to resume on (env.node unless the rank migrates).
-sim::Task<std::uint32_t> await_restart(const RankEnv& env, RankStats* stats);
-
-// Backoff between same-frame retries when a *remote* fault (crashed peer,
-// torn fabric) failed the operation but this rank's node kept its state.
-inline constexpr Duration kFaultRetryBackoff = Duration::milliseconds(50);
-// Hard cap so an unrecoverable configuration surfaces as the original error
-// instead of an endless poll loop.
-inline constexpr std::uint64_t kMaxFaultRetries = 10'000;
-
-// Backoff-or-park decision for a retry whose peer's node is down.  Without
-// a plane, a peer on a permanently-lost node can never re-supply (or
-// consume) frames: park on its up-event — which never fires — so the run
-// quiesces into the deadlock reporter instead of polling forever.  With a
-// plane the peer migrates and re-supplies, so keep polling.
-bool park_on_lost_peer(const RankEnv& env, std::uint32_t peer_node);
-
-enum class FrameOp {
-  kDone,     // the operation completed
-  kFenced,   // the membership plane fenced this incarnation (zombie)
-  kCrashed,  // it failed and the rank's own node crashed meanwhile
-};
-
-// Runs one frame operation — `op()` returns the sim::Task to await — inside
-// a `region` of the rank's recorder, retrying after remote faults
-// (NetError, IoError, FsError).  Without a crash model, or past
-// kMaxFaultRetries, the fault is rethrown.  StaleEpochError reports kFenced
-// when a membership plane is present and is rethrown otherwise.  Each retry
-// counts one fault_retries on `stats` and parks on a lost `peer_node` or
-// backs off, inside a `fault_retry` idle region.  `epoch` is the rank's
-// epoch when the frame began.
-template <typename Op>
-sim::Task<FrameOp> retry_frame_op(const RankEnv& env, std::uint64_t epoch,
-                                  std::uint32_t peer_node, RankStats* stats,
-                                  std::string_view region, Op op) {
-  for (std::uint64_t attempts = 0;; ++attempts) {
-    std::exception_ptr failure;
-    bool fenced = false;
-    try {
-      perf::ScopedRegion scope(*env.recorder, region);
-      co_await op();
-    } catch (const net::NetError&) {
-      failure = std::current_exception();
-    } catch (const storage::IoError&) {
-      failure = std::current_exception();
-    } catch (const fs::FsError&) {
-      failure = std::current_exception();
-    } catch (const StaleEpochError&) {
-      // This node was declared lost while its ranks kept running (a zombie
-      // cut off by a one-way partition): the first post-heal server round
-      // trip fenced the old incarnation.  Terminal for this incarnation.
-      if (env.membership == nullptr) throw;
-      fenced = true;
-    }
-    if (fenced) co_return FrameOp::kFenced;
-    if (failure == nullptr) co_return FrameOp::kDone;
-    if (env.crash == nullptr || attempts >= kMaxFaultRetries) {
-      std::rethrow_exception(failure);
-    }
-    if (rank_epoch(env) != epoch) co_return FrameOp::kCrashed;
-    if (stats != nullptr) ++stats->fault_retries;
-    perf::ScopedRegion wait(*env.recorder, "fault_retry",
-                            perf::Category::kIdle);
-    if (park_on_lost_peer(env, peer_node)) {
-      co_await env.crash->wait_up(peer_node);
-    } else {
-      co_await env.sim->delay(kFaultRetryBackoff);
-    }
-  }
-}
-
-// Availability-relative fetch latency of frame `f` in microseconds: from
-// the frame being both requested (`fetch_start`) and published (its stamp
-// in `publish_times`) to now.  A consumer idling ahead of a slow producer
-// is not a slow fetch.  Empty when the stamp is still missing: a hedge can
-// finish off the Lustre replica before the producer's own put() returns,
-// and that (certainly-not-slow) fetch is unmeasurable.
-std::optional<double> fetch_latency_us(
-    TimePoint now, TimePoint fetch_start,
-    const std::vector<TimePoint>& publish_times, std::uint64_t f);
 
 // Subscribes `node` to frames under `prefix` on the solution's push plane:
 // DYAD in push mode, or stream.  No-op for the other solutions.

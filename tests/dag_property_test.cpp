@@ -54,7 +54,7 @@ class RecordingProbe : public DagProbe {
 };
 
 std::shared_ptr<const wload::Dag> synth_dag(std::string_view ref,
-                                            std::uint64_t tasks,
+                                            std::uint32_t tasks,
                                             double output_bytes) {
   wload::WorkloadDefaults wd;
   wd.synth_tasks = tasks;

@@ -494,6 +494,25 @@ TEST(WloadConfig, CheckpointConflictsWithWorkload) {
                    "checkpoint");
 }
 
+// Each of these once changed nothing in a DAG run: the CSV was identical
+// with or without the key.
+TEST(WloadConfig, PipelineKeysConflictWithWorkload) {
+  const struct {
+    const char* key;
+    const char* value;
+  } kCases[] = {{"pairs", "2"},    {"model", "STMV"},   {"stride", "100"},
+                {"colocate", "1"}, {"compress", "1"}, {"interference", "1"}};
+  for (const auto& c : kCases) {
+    EXPECT_ERROR_HAS(error_of([&] {
+                       parse_cfg({{"workload", "synth:chain"},
+                                  {c.key, c.value}});
+                     }),
+                     std::string(c.key) +
+                         " does not apply to DAG workloads; drop " + c.key +
+                         "= when workload= is set");
+  }
+}
+
 TEST(WloadConfig, MembershipConflictsWithWorkload) {
   EXPECT_ERROR_HAS(error_of([] {
                      parse_cfg({{"workload", "synth:chain"},
@@ -551,6 +570,12 @@ TEST(WloadConfig, OutOfRangeCountsNameTheKey) {
       {{{"threads", "4294967296"}}, "threads must be at most 4294967295"},
       {{{"workload", "synth:fork-join"}, {"dag_width", "4294967297"}},
        "dag_width must be at most 4294967295"},
+      // Once wrapped through a 32-bit cast: 2^32 + 1 ran a one-task chain
+      // and 2^32 failed as "needs at least one task".
+      {{{"workload", "synth:chain"}, {"dag_tasks", "4294967296"}},
+       "dag_tasks must be at most 4294967295"},
+      {{{"workload", "synth:chain"}, {"dag_tasks", "4294967297"}},
+       "dag_tasks must be at most 4294967295"},
       {{{"nodes", "3"}, {"pairs", "2"}}, "nodes=3: a split placement"},
       {{{"solution", "xfs"}, {"nodes", "2"}}, "nodes=2: XFS cannot move"},
       {{{"workload", "synth:chain"}, {"nodes", "0"}}, "nodes must be >= 1"},

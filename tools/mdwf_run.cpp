@@ -61,10 +61,11 @@
 //
 // DAG workload mode (mdwf::wload, DESIGN.md Sec. 13) — when workload= is
 // present the fixed producer/consumer pipeline is replaced by a
-// dependency-driven task graph; pairs/frames/model/stride are ignored and
-// the run's frame total is the DAG's edge-frame count.  DAG runs have no
-// membership plane, so membership=1 and the node-loss, loss-after-publish
-// and heal-after-declare scenarios are rejected:
+// dependency-driven task graph whose frame total is the DAG's edge-frame
+// count.  The pipeline keys pairs, frames, model, stride, colocate,
+// compress, interference and checkpoint are rejected; so are membership=1
+// and the node-loss, loss-after-publish and heal-after-declare scenarios,
+// because DAG runs have no membership plane:
 //   workload   = wfcommons:<file> | synth:chain|fork-join|montage
 //   dag_tasks  = <n>      synthetic task count            (default 8)
 //   dag_width  = <n>      synthetic fan-out width         (default 4)
